@@ -23,8 +23,8 @@ DX = 0.1
 TARGET = 0.90
 
 
-def profile(model, raw, speed, seed, truth, sigma, n_max, check_every=10):
-    cfg = SolverConfig(model=model, seed=seed, sigma=sigma)
+def profile(model, raw, speed, seed, truth, n_max, check_every=10):
+    cfg = SolverConfig(model=model, seed=seed)
     fld = init_levelset(raw.dims, DX, seed, 5.0)
     dt = cfl_dt(speed, model, dx=DX)
     crossing = None
@@ -59,8 +59,7 @@ def main():
     for model in Model:
         n_max = (params["n_max_second_order"] if model is Model.GEODESIC2
                  else params["n_max"])
-        dt, curve, crossing, wall = profile(
-            model, raw, speed, seed, truth, params["sigma"], n_max)
+        dt, curve, crossing, wall = profile(model, raw, speed, seed, truth, n_max)
         print(f"\n{model.value}: dt = {dt:.5g}, {n_max} iterations, {wall:.1f}s")
         for n, d in curve[:: max(1, len(curve) // 10)]:
             print(f"  n={n:5d}  dice={d:.4f}")

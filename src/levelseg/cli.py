@@ -6,7 +6,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,69 +31,6 @@ from .volumes import BinaryMask, VolumeError, VoxelIndex, load_mask, load_volume
 
 def _log(msg):
     print(msg, file=sys.stderr)
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a segmentation run."""
-
-    input: str
-    out: str
-    model: str
-    seed_left: tuple
-    seed_right: tuple
-    mu: float = 1.0
-    eta: float = 0.25
-    epsilon: float = 0.05
-    p: int = 2
-    sigma: float = 0.0
-    dx: float = 0.1
-    n_max: int = 400
-    seed_radius_voxels: float = 5.0
-    curvature_delta: float = 1e-8
-    early_stop: str = "off"
-    stagnation_window: int = 50
-    hu_clip_threshold: float = 120.0
-    tissue_interval: tuple = (5.0, 120.0)
-    equalization_bins: int = 256
-    postprocess: bool = False
-    start_slice: int = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        doc = json.loads(text)
-        doc["seed_left"] = tuple(doc["seed_left"])
-        doc["seed_right"] = tuple(doc["seed_right"])
-        doc["tissue_interval"] = tuple(doc["tissue_interval"])
-        return cls(**doc)
-
-    def solver_config(self, seed: VoxelIndex) -> SolverConfig:
-        return SolverConfig(
-            model=Model(self.model),
-            mu=self.mu,
-            eta=self.eta,
-            epsilon=self.epsilon,
-            p=self.p,
-            sigma=self.sigma,
-            dx=self.dx,
-            n_max=self.n_max,
-            seed=seed,
-            seed_radius_voxels=self.seed_radius_voxels,
-            curvature_delta=self.curvature_delta,
-            early_stop=self.early_stop,
-            stagnation_window=self.stagnation_window,
-        )
-
-    def preprocess_config(self) -> PreprocessConfig:
-        return PreprocessConfig(
-            hu_clip_threshold=self.hu_clip_threshold,
-            tissue_interval=self.tissue_interval,
-            sigma=self.sigma,
-            equalization_bins=self.equalization_bins,
-        )
 
 
 def _parse_seed(text):
@@ -136,22 +73,9 @@ def _slice_contours(mask: BinaryMask):
 def cmd_segment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        input=args.input,
-        out=args.out,
-        model=args.model,
-        seed_left=args.seed_left,
-        seed_right=args.seed_right,
-        mu=args.mu,
-        eta=args.eta,
-        epsilon=args.epsilon,
-        p=args.p,
-        sigma=args.sigma,
-        dx=args.dx,
-        n_max=args.nmax,
-        postprocess=args.postprocess,
-        start_slice=args.start_slice,
-    )
+    pre_cfg = PreprocessConfig(sigma=args.sigma)
+    cfg = SolverConfig(model=Model(args.model), mu=args.mu, eta=args.eta,
+                       epsilon=args.epsilon, p=args.p, dx=args.dx, n_max=args.nmax)
     raw = load_volume(args.input)
     if args.model == "gmfd2":
         _log(f"parabolic CFL: dt = 0.25*dx^2 = {0.25 * args.dx * args.dx}")
@@ -160,7 +84,7 @@ def cmd_segment(args) -> int:
     merged = np.zeros(raw.dims, dtype=bool)
     for side, coords in (("left", args.seed_left), ("right", args.seed_right)):
         seed = VoxelIndex(*coords)
-        result = evolve(raw, manifest.solver_config(seed), manifest.preprocess_config())
+        result = evolve(raw, replace(cfg, seed=seed), pre_cfg)
         mask = result.mask
         if args.postprocess:
             start = args.start_slice if args.start_slice is not None else seed.k
@@ -180,7 +104,13 @@ def cmd_segment(args) -> int:
         _log(f"{side}: {result.iterations} iterations, {result.seconds:.2f}s, "
              f"dt={result.dt:.6g}, {mask.count()} voxels")
     store_volume(BinaryMask(merged, raw.spacing), out / "merged.mask.json")
-    (out / "manifest.json").write_text(manifest.to_json())
+    solver = {**asdict(cfg), "model": cfg.model.value}
+    del solver["seed"]
+    manifest = {"input": args.input, "out": args.out,
+                "seed_left": args.seed_left, "seed_right": args.seed_right,
+                **solver, **asdict(pre_cfg),
+                "postprocess": args.postprocess, "start_slice": args.start_slice}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     (out / "timing.json").write_text(json.dumps(timing, indent=2))
     return 0
 
@@ -194,6 +124,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """One row per (phantom, model); `n_max` is the budget of one side,
+    `iters` and `wall_s` are totals over both sides."""
     specs = default_suite()
     if args.phantom:
         specs = [s for s in specs if s.name == args.phantom]
@@ -206,6 +138,7 @@ def cmd_bench(args) -> int:
     for spec in specs:
         raw, truth_left, truth_right = generate_phantom(spec)
         params = SUITE_PARAMS[spec.name]
+        pre_cfg = PreprocessConfig(sigma=params["sigma"])
         for model in Model:
             # classical and gmfd1 share the first-order budget; the
             # parabolic time step needs its own, larger one
@@ -215,11 +148,10 @@ def cmd_bench(args) -> int:
             iters = wall = 0
             for side, truth in (("L", truth_left), ("R", truth_right)):
                 seed = tube_seed(spec, "left" if side == "L" else "right")
-                cfg = SolverConfig(model=model, seed=seed, n_max=n_max,
-                                   sigma=params["sigma"])
-                result = evolve(raw, cfg)
+                cfg = SolverConfig(model=model, seed=seed, n_max=n_max)
+                result = evolve(raw, cfg, pre_cfg)
                 dices[side] = dice(result.mask, truth)
-                iters = result.iterations
+                iters += result.iterations
                 wall += result.seconds
             print(f"{spec.name:<8} {model.value:<10} {n_max:>6} {iters:>6} "
                   f"{wall:>8.2f} {dices['L']:>7.4f} {dices['R']:>7.4f}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -256,64 +256,38 @@ def suite_spec(name: str) -> PhantomSpec:
 
 
 def spec_to_json(spec: PhantomSpec) -> str:
-    doc = {
-        "name": spec.name,
-        "dims": list(spec.dims),
-        "tubes": [{"centers": [list(c) for c in t.centers], "radii": list(t.radii)}
-                  for t in spec.tubes],
-        "distractors": [{"centers": [list(c) for c in t.centers], "radii": list(t.radii)}
-                        for t in spec.distractors],
-        "organs": [{"center": list(o.center), "axes": list(o.axes), "hu": o.hu,
-                    "shape": o.shape}
-                   for o in spec.organs],
-        "bone_center": list(spec.bone_center) if spec.bone_center else None,
-        "bone_axes": list(spec.bone_axes),
-        "hu_muscle": spec.hu_muscle,
-        "hu_fat": spec.hu_fat,
-        "hu_bone": spec.hu_bone,
-        "hu_air": spec.hu_air,
-        "noise_std": spec.noise_std,
-        "rng_seed": spec.rng_seed,
-        "air_border": spec.air_border,
-        "rim_width": spec.rim_width,
-        "rim_hu": spec.rim_hu,
-    }
-    return json.dumps(doc, indent=2)
+    return json.dumps(asdict(spec), indent=2)
+
+
+def _from_doc(cls, doc):
+    """`cls(**doc)` with the JSON lists of its `tuple` fields made tuples."""
+    tuples = {f.name for f in fields(cls) if f.type == "tuple"}
+    return cls(**{k: tuple(v) if k in tuples and v is not None else v
+                  for k, v in doc.items()})
+
+
+def _tube_from_doc(doc):
+    return TubeSpec(**{**doc, "centers": [tuple(c) for c in doc["centers"]]})
 
 
 def spec_from_json(text: str) -> PhantomSpec:
+    """Inverse of `spec_to_json`; absent fields take the `PhantomSpec`
+    defaults and an absent name reads "custom"."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise PhantomError(f"malformed phantom spec: {e}") from e
     try:
-        tubes = [TubeSpec([tuple(c) for c in t["centers"]], list(t["radii"]))
-                 for t in doc["tubes"]]
-        distractors = [TubeSpec([tuple(c) for c in t["centers"]], list(t["radii"]))
-                       for t in doc.get("distractors", [])]
-        organs = [OrganSpec(tuple(o["center"]), tuple(o["axes"]), float(o["hu"]),
-                            o.get("shape", "ellipse"))
-                  for o in doc.get("organs", [])]
-        return PhantomSpec(
-            name=doc.get("name", "custom"),
-            dims=tuple(doc["dims"]),
-            tubes=tubes,
-            distractors=distractors,
-            organs=organs,
-            bone_center=tuple(doc["bone_center"]) if doc.get("bone_center") else None,
-            bone_axes=tuple(doc.get("bone_axes", (5.0, 12.0))),
-            hu_muscle=doc.get("hu_muscle", 60.0),
-            hu_fat=doc.get("hu_fat", -100.0),
-            hu_bone=doc.get("hu_bone", 400.0),
-            hu_air=doc.get("hu_air", -1000.0),
-            noise_std=doc.get("noise_std", 10.0),
-            rng_seed=doc.get("rng_seed", 0),
-            air_border=doc.get("air_border", 2),
-            rim_width=doc.get("rim_width", 0.0),
-            rim_hu=doc.get("rim_hu", -10.0),
-        )
+        doc = {"name": "custom", **doc}
+        for key in ("tubes", "distractors"):
+            if key in doc:
+                doc[key] = [_tube_from_doc(t) for t in doc[key]]
+        if "organs" in doc:
+            doc["organs"] = [_from_doc(OrganSpec, o) for o in doc["organs"]]
+        return _from_doc(PhantomSpec, doc)
     except (KeyError, TypeError) as e:
         raise PhantomError(f"invalid phantom spec: {e}") from e
+
 
 def load_spec(path) -> PhantomSpec:
     return spec_from_json(Path(path).read_text())

@@ -150,10 +150,9 @@ def clean_spurious(mask: BinaryMask, start_slice: int, direction: int = 1) -> Bi
     return BinaryMask(vals, mask.spacing)
 
 
-def postprocess(mask: BinaryMask, seed: VoxelIndex, start_slice: int = None,
-                directions=(1, -1)) -> BinaryMask:
-    """Component reduction followed by spurious-voxel cleaning in the
-    requested scan directions (both by default).
+def postprocess(mask: BinaryMask, seed: VoxelIndex, start_slice: int = None) -> BinaryMask:
+    """Component reduction followed by spurious-voxel cleaning toward the
+    top and then toward the bottom of the volume.
 
     The two steps are iterated to a fixed point: cleaning can strand
     voxels that are no longer in-plane connected to the kept component,
@@ -166,7 +165,7 @@ def postprocess(mask: BinaryMask, seed: VoxelIndex, start_slice: int = None,
     while True:
         prev = out.values
         out = reduce_components(out, seed)
-        for direction in directions:
+        for direction in (1, -1):
             out = clean_spurious(out, start_slice, direction)
         if np.array_equal(out.values, prev):
             return out

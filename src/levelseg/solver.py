@@ -28,7 +28,6 @@ class SolverConfig:
     eta: float = 0.25
     epsilon: float = 0.05
     p: int = 2
-    sigma: float = 0.0
     dx: float = 0.1
     n_max: int = 400
     seed: VoxelIndex = None
@@ -50,7 +49,6 @@ class SolverConfig:
 class LevelSetField:
     volume: ScalarVolume
     n: int = 0
-    t: float = 0.0
 
 
 @dataclass
@@ -192,7 +190,7 @@ def step(fld: LevelSetField, speed: SpeedField, cfg: SolverConfig, dt: float) ->
     u_new = u - dt * h
     if not np.all(np.isfinite(u_new)):
         raise BlowupError(f"numerical blow-up at iteration {fld.n + 1}")
-    return LevelSetField(ScalarVolume(u_new, fld.volume.spacing), fld.n + 1, fld.t + dt)
+    return LevelSetField(ScalarVolume(u_new, fld.volume.spacing), fld.n + 1)
 
 
 def extract_mask(fld: LevelSetField) -> BinaryMask:
@@ -202,15 +200,19 @@ def extract_mask(fld: LevelSetField) -> BinaryMask:
 
 def evolve(raw_vol: ScalarVolume, cfg: SolverConfig,
            pre_cfg: PreprocessConfig = None) -> EvolutionResult:
-    """Full single-seed pipeline: preprocess, build the speed field,
-    initialize a sphere at the seed and run up to n_max explicit steps."""
-    if pre_cfg is None:
-        pre_cfg = PreprocessConfig(sigma=cfg.sigma)
-    image, tissue = preprocess_pipeline(raw_vol, pre_cfg)
-    if not tissue.values[cfg.seed.i, cfg.seed.j, cfg.seed.k]:
-        raise SeedError(f"seed {cfg.seed.as_tuple()} lies outside the tissue mask")
+    """Full single-seed pipeline: preprocess (with `PreprocessConfig()`
+    when `pre_cfg` is None), build the speed field, initialize a sphere at
+    the seed and run up to n_max explicit steps."""
+    seed = cfg.seed
+    if seed is None:
+        raise SeedError("no seed given")
+    if not all(0 <= c < n for c, n in zip(seed.as_tuple(), raw_vol.dims)):
+        raise SeedError(f"seed {seed.as_tuple()} lies outside the volume {tuple(raw_vol.dims)}")
+    image, tissue = preprocess_pipeline(raw_vol, pre_cfg or PreprocessConfig())
+    if not tissue.values[seed.i, seed.j, seed.k]:
+        raise SeedError(f"seed {seed.as_tuple()} lies outside the tissue mask")
     speed = build_speed(image, tissue, cfg.p, cfg.dx)
-    fld = init_levelset(raw_vol.dims, cfg.dx, cfg.seed, cfg.seed_radius_voxels,
+    fld = init_levelset(raw_vol.dims, cfg.dx, seed, cfg.seed_radius_voxels,
                         raw_vol.spacing)
     dt = cfl_dt(speed, cfg.model, cfg.mu, cfg.eta, cfg.dx)
 

@@ -198,9 +198,8 @@ def _run_side(raw, spec_name, model, side, spec):
     params = SUITE_PARAMS[spec_name]
     n_max = (params["n_max_second_order"] if model is Model.GEODESIC2
              else params["n_max"])
-    cfg = SolverConfig(model=model, seed=tube_seed(spec, side), n_max=n_max,
-                       sigma=params["sigma"])
-    return evolve(raw, cfg)
+    cfg = SolverConfig(model=model, seed=tube_seed(spec, side), n_max=n_max)
+    return evolve(raw, cfg, PreprocessConfig(sigma=params["sigma"]))
 
 
 def test_criterion_phantom_end_to_end(record_criterion):
@@ -266,7 +265,7 @@ def test_criterion_cost_gap(record_criterion):
     speed = build_speed(image, tissue, 2, DX)
 
     def iterations_to_dice(model, n_cap, target=0.90):
-        cfg = SolverConfig(model=model, seed=seed, sigma=sigma)
+        cfg = SolverConfig(model=model, seed=seed)
         fld = init_levelset(raw.dims, DX, seed, 5.0)
         dt = cfl_dt(speed, model, dx=DX)
         t0 = time.perf_counter()

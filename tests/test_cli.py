@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from levelseg.cli import RunManifest, main
+from levelseg.cli import main
 from levelseg.metrics import dice
+from levelseg.phantom import SUITE_PARAMS
 from levelseg.volumes import load_mask, load_volume
 
 
@@ -67,18 +68,25 @@ def test_segment_end_to_end(phantom_dir, tmp_path, capsys):
     assert header == "slice,i,j"
 
 
-def test_manifest_round_trip(phantom_dir, tmp_path):
+def test_segment_manifest(phantom_dir, tmp_path):
     out = tmp_path / "run"
-    main([
-        "segment", "--input", str(phantom_dir / "volume.json"),
+    volume = str(phantom_dir / "volume.json")
+    assert main([
+        "segment", "--input", volume,
         "--seed-left", "22,40,20", "--seed-right", "57,40,20",
-        "--model", "classical", "--nmax", "5", "--out", str(out),
-    ])
-    text = (out / "manifest.json").read_text()
-    manifest = RunManifest.from_json(text)
-    assert manifest.to_json() == text
-    assert manifest.model == "classical"
-    assert manifest.seed_left == (22, 40, 20)
+        "--model", "gmfd2", "--nmax", "3", "--sigma", "1.75", "--mu", "1.5",
+        "--eta", "0.5", "--epsilon", "0.1", "--p", "1", "--dx", "0.2",
+        "--postprocess", "--start-slice", "19", "--out", str(out),
+    ]) == 0
+    assert json.loads((out / "manifest.json").read_text()) == {
+        "input": volume, "out": str(out), "model": "gmfd2",
+        "seed_left": [22, 40, 20], "seed_right": [57, 40, 20],
+        "mu": 1.5, "eta": 0.5, "epsilon": 0.1, "p": 1, "sigma": 1.75, "dx": 0.2,
+        "n_max": 3, "seed_radius_voxels": 5.0, "curvature_delta": 1e-08,
+        "early_stop": "off", "stagnation_window": 50,
+        "hu_clip_threshold": 120.0, "tissue_interval": [5.0, 120.0],
+        "equalization_bins": 256, "postprocess": True, "start_slice": 19,
+    }
 
 
 def test_segment_gmfd2_logs_parabolic_dt(phantom_dir, tmp_path, capsys):
@@ -121,6 +129,27 @@ def test_segment_seed_outside_tissue(phantom_dir, tmp_path, capsys):
     ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_segment_seed_off_grid(phantom_dir, tmp_path, capsys):
+    rc = main([
+        "segment", "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "999,40,20", "--seed-right", "57,40,20",
+        "--model", "gmfd1", "--nmax", "5", "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_bench_iters_cover_both_sides(monkeypatch, capsys):
+    monkeypatch.setitem(SUITE_PARAMS["easy"], "n_max", 2)
+    monkeypatch.setitem(SUITE_PARAMS["easy"], "n_max_second_order", 3)
+    assert main(["bench", "--phantom", "easy"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    # phantom, model, n_max, iters, wall_s, dice_L, dice_R
+    assert {(r[1], int(r[2]), int(r[3])) for r in rows} == {
+        ("classical", 2, 4), ("gmfd1", 2, 4), ("gmfd2", 3, 6)}
 
 
 def test_metrics_self(phantom_dir, capsys):

@@ -1,10 +1,13 @@
 """Synthetic phantom generation and its analytic ground truth."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelseg.phantom import (
+    OrganSpec,
     PhantomError,
     PhantomSpec,
     TubeSpec,
@@ -157,6 +160,55 @@ def test_spec_json_round_trip():
         b, lb, rb = generate_phantom(back)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(la.values, lb.values)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_pairs = st.tuples(_finite, _finite)
+
+
+@st.composite
+def _phantom_specs(draw):
+    nz = draw(st.integers(1, 4))
+
+    def tube():
+        return TubeSpec(draw(st.lists(_pairs, min_size=nz, max_size=nz)),
+                        draw(st.lists(st.floats(2.0, 50.0), min_size=nz, max_size=nz)))
+
+    organ = st.builds(OrganSpec, _pairs, _pairs, _finite, st.sampled_from(["ellipse", "box"]))
+    return PhantomSpec(
+        name=draw(st.text(max_size=8)),
+        dims=(draw(st.integers(1, 100)), draw(st.integers(1, 100)), nz),
+        tubes=[tube(), tube()],
+        distractors=[tube() for _ in range(draw(st.integers(0, 2)))],
+        organs=draw(st.lists(organ, max_size=2)),
+        bone_center=draw(st.none() | _pairs),
+        bone_axes=draw(_pairs),
+        hu_muscle=draw(st.floats(5.0, 120.0)),
+        hu_fat=draw(_finite),
+        hu_bone=draw(_finite),
+        hu_air=draw(_finite),
+        noise_std=draw(st.floats(0.0, 100.0)),
+        rng_seed=draw(st.integers(0, 2**32)),
+        air_border=draw(st.integers(0, 5)),
+        rim_width=draw(st.floats(0.0, 5.0)),
+        rim_hu=draw(_finite),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=_phantom_specs())
+def test_spec_json_round_trip_property(spec):
+    assert spec_from_json(spec_to_json(spec)) == spec
+
+
+def test_spec_json_absent_fields_take_defaults():
+    spec = _simple_spec()
+    doc = json.loads(spec_to_json(spec))
+    minimal = {key: doc[key] for key in ("name", "dims", "tubes")}
+    assert spec_from_json(json.dumps(minimal)) == PhantomSpec(
+        name=spec.name, dims=spec.dims, tubes=spec.tubes)
+    del minimal["name"]
+    assert spec_from_json(json.dumps(minimal)).name == "custom"
 
 
 def test_spec_json_malformed():

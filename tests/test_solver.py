@@ -357,6 +357,17 @@ def test_evolve_seed_outside_tissue():
         evolve(vol, cfg)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (None, "no seed"),
+    (VoxelIndex(999, 12, 12), "outside the volume"),
+    (VoxelIndex(12, -1, 12), "outside the volume"),
+])
+def test_evolve_seed_missing_or_off_grid(seed, message):
+    cfg = SolverConfig(model=Model.GEODESIC1, seed=seed, n_max=5)
+    with pytest.raises(SeedError, match=message):
+        evolve(_uniform_phantom(), cfg)
+
+
 def test_evolve_deterministic():
     vol = _uniform_phantom()
     cfg = SolverConfig(model=Model.GEODESIC1, seed=VoxelIndex(12, 12, 12), n_max=30)
