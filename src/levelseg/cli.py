@@ -22,7 +22,7 @@ from .phantom import (
     suite_spec,
     tube_seed,
 )
-from .postprocess import postprocess
+from .postprocess import PostprocessError, postprocess
 from .preprocess import PreprocessConfig
 from .solver import BlowupError, SeedError, SolverConfig, evolve
 from .speed import DegenerateSpeedError, Model
@@ -220,8 +220,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (VolumeError, PhantomError, SeedError, BlowupError,
-            DegenerateSpeedError, MetricsError, ValueError) as e:
+    except (VolumeError, PhantomError, SeedError, BlowupError, DegenerateSpeedError,
+            PostprocessError, MetricsError, ValueError) as e:
         _log(f"error: {e}")
         return 1
 

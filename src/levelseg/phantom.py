@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,9 @@ class PhantomSpec:
     def __post_init__(self):
         if len(self.tubes) != 2:
             raise PhantomError("a phantom needs exactly two tubes")
+        if len(self.dims) != 3 or not all(isinstance(d, Integral) and d > 0
+                                          for d in self.dims):
+            raise PhantomError(f"dims must be three positive integers, got {self.dims}")
         nz = self.dims[2]
         for tube in self.tubes + self.distractors:
             if len(tube.centers) != nz:

@@ -3,11 +3,13 @@ Lax-Friedrichs numerical Hamiltonian, for the classical eikonal model and
 the first/second-order geodesic models on 3D grids."""
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .active import STENCIL, upwind_pairs
 from .preprocess import PreprocessConfig, preprocess_pipeline
 from .speed import Model, SpeedField, build_speed, cfl_dt
 from .volumes import BinaryMask, ScalarVolume, VoxelIndex
@@ -79,28 +81,17 @@ def init_levelset(dims, dx, seed: VoxelIndex, radius_voxels=5.0,
     return LevelSetField(ScalarVolume(v, spacing))
 
 
-def _upwind_arrays(u, dx):
-    """Backward/forward one-sided differences per axis; at each face the
-    missing difference is replaced by the available one."""
-    out = []
-    for axis in range(3):
-        d = np.diff(u, axis=axis) / dx
-        shape = list(u.shape)
-        shape[axis] = 1
-        first = np.take(d, [0], axis=axis)
-        last = np.take(d, [-1], axis=axis)
-        dm = np.concatenate([first, d], axis=axis)
-        dp = np.concatenate([d, last], axis=axis)
-        out.append(dm)
-        out.append(dp)
-    return tuple(out)
-
-
 def upwind_diffs(v, dx, at: VoxelIndex):
     """One-sided differences (p-, p+, q-, q+, r-, r+) at a single voxel."""
     u = v.values if isinstance(v, ScalarVolume) else np.asarray(v)
-    arrays = _upwind_arrays(u, dx)
-    return tuple(float(a[at.i, at.j, at.k]) for a in arrays)
+    idx = at.as_tuple()
+    out = []
+    for axis, n in enumerate(u.shape):
+        for hi, lo in upwind_pairs(idx[axis], n):
+            a = idx[:axis] + (hi,) + idx[axis + 1:]
+            b = idx[:axis] + (lo,) + idx[axis + 1:]
+            out.append(float((u[a] - u[b]) / dx))
+    return tuple(out)
 
 
 def llf_hamiltonian(model: Model, g, grad_g, diffs, mu=1.0, eta=0.25):
@@ -129,25 +120,26 @@ def llf_hamiltonian(model: Model, g, grad_g, diffs, mu=1.0, eta=0.25):
     return h - 0.5 * (ax * (pp - pm) + ay * (qp - qm) + az * (rp - rm))
 
 
-def _padded(u):
-    return np.pad(u, 1, mode="edge")
-
-
 def curvature_3d(v, dx, delta=1e-8):
     """Mean-curvature term div(Dv/|Dv|) by centered differences.
 
-    Faces are handled by edge replication; the denominator is regularized
-    by `delta` where |Dv| vanishes.
+    `v` is a 3-D field, whose faces are handled by edge replication, or a
+    (19, N) array of a field's values at the `STENCIL` neighbours of N
+    voxels, as `step` gathers them.  The denominator is regularized by
+    `delta` where |Dv| vanishes.
     """
-    u = v.values if isinstance(v, ScalarVolume) else np.asarray(v, dtype=np.float64)
-    w = _padded(u)
-    c = w[1:-1, 1:-1, 1:-1]
-    xp = w[2:, 1:-1, 1:-1]
-    xm = w[:-2, 1:-1, 1:-1]
-    yp = w[1:-1, 2:, 1:-1]
-    ym = w[1:-1, :-2, 1:-1]
-    zp = w[1:-1, 1:-1, 2:]
-    zm = w[1:-1, 1:-1, :-2]
+    if isinstance(v, ScalarVolume):
+        return ScalarVolume(curvature_3d(v.values, dx, delta), v.spacing)
+    nb = np.asarray(v, dtype=np.float64)
+    if nb.ndim == 3:
+        w = np.pad(nb, 1, mode="edge")
+        nx, ny, nz = nb.shape
+        nb = [w[1 + a:1 + a + nx, 1 + b:1 + b + ny, 1 + c:1 + c + nz]
+              for a, b, c in STENCIL]
+    (c, xp, xm, yp, ym, zp, zm,
+     xy_pp, xy_mm, xy_pm, xy_mp,
+     xz_pp, xz_mm, xz_pm, xz_mp,
+     yz_pp, yz_mm, yz_pm, yz_mp) = nb
 
     vx = (xp - xm) / (2 * dx)
     vy = (yp - ym) / (2 * dx)
@@ -156,9 +148,9 @@ def curvature_3d(v, dx, delta=1e-8):
     vyy = (yp - 2 * c + ym) / dx**2
     vzz = (zp - 2 * c + zm) / dx**2
 
-    vxy = (w[2:, 2:, 1:-1] + w[:-2, :-2, 1:-1] - w[2:, :-2, 1:-1] - w[:-2, 2:, 1:-1]) / (4 * dx**2)
-    vxz = (w[2:, 1:-1, 2:] + w[:-2, 1:-1, :-2] - w[2:, 1:-1, :-2] - w[:-2, 1:-1, 2:]) / (4 * dx**2)
-    vyz = (w[1:-1, 2:, 2:] + w[1:-1, :-2, :-2] - w[1:-1, 2:, :-2] - w[1:-1, :-2, 2:]) / (4 * dx**2)
+    vxy = (xy_pp + xy_mm - xy_pm - xy_mp) / (4 * dx**2)
+    vxz = (xz_pp + xz_mm - xz_pm - xz_mp) / (4 * dx**2)
+    vyz = (yz_pp + yz_mm - yz_pm - yz_mp) / (4 * dx**2)
 
     sq = vx * vx + vy * vy + vz * vz
     num = (
@@ -169,28 +161,38 @@ def curvature_3d(v, dx, delta=1e-8):
         - 2 * vx * vz * vxz
         - 2 * vy * vz * vyz
     )
-    kappa = num / (sq + delta) ** 1.5
-    if isinstance(v, ScalarVolume):
-        return ScalarVolume(kappa, v.spacing)
-    return kappa
+    return num / (sq + delta) ** 1.5
 
 
 def step(fld: LevelSetField, speed: SpeedField, cfg: SolverConfig, dt: float) -> LevelSetField:
-    """One explicit update over all voxels."""
+    """One explicit update, returned as a new field; `fld` is left as it is.
+
+    The update is evaluated on the speed field's active set only.  Every
+    other voxel has g = 0 and grad g = 0, where the update is exactly zero
+    (see `levelseg.active`), so its value is copied unchanged.
+    """
     u = fld.volume.values
-    diffs = _upwind_arrays(u, cfg.dx)
-    g = speed.g.values
-    grads = tuple(gg.values for gg in speed.grad_g)
-    h = llf_hamiltonian(cfg.model, g, grads, diffs, cfg.mu, cfg.eta)
+    act = speed.active
+    hi, lo = act.upwind
+    diffs = (u.take(hi) - u.take(lo)) / cfg.dx
+    h = llf_hamiltonian(cfg.model, act.g, act.grad_g, diffs, cfg.mu, cfg.eta)
     if cfg.model is Model.GEODESIC2:
-        kappa = curvature_3d(u, cfg.dx, cfg.curvature_delta)
-        cx, cy, cz = np.gradient(u, cfg.dx)
+        index, span = act.stencil
+        nb = u.take(index)
+        kappa = curvature_3d(nb, cfg.dx, cfg.curvature_delta)
+        # the centred gradient of np.gradient from the face neighbours
+        cx, cy, cz = (nb[1:7:2] - nb[2:7:2]) / (span * cfg.dx)
         grad_norm = np.sqrt(cx * cx + cy * cy + cz * cz)
-        h = h - cfg.epsilon * g * grad_norm * kappa
-    u_new = u - dt * h
-    if not np.all(np.isfinite(u_new)):
+        h = h - cfg.epsilon * act.g * grad_norm * kappa
+    new = u.take(act.index) - dt * h
+    if not np.all(np.isfinite(new)):
         raise BlowupError(f"numerical blow-up at iteration {fld.n + 1}")
-    return LevelSetField(ScalarVolume(u_new, fld.volume.spacing), fld.n + 1)
+    # a copy, not a new ScalarVolume: every value outside the active set
+    # was checked finite when `fld` was built
+    volume = copy.copy(fld.volume)
+    volume.values = u.copy()
+    volume.values.put(act.index, new)
+    return LevelSetField(volume, fld.n + 1)
 
 
 def extract_mask(fld: LevelSetField) -> BinaryMask:
@@ -222,7 +224,9 @@ def evolve(raw_vol: ScalarVolume, cfg: SolverConfig,
     for _ in range(cfg.n_max):
         fld = step(fld, speed, cfg, dt)
         if cfg.early_stop == "stagnation":
-            mask = fld.volume.values < 0
+            # u never changes outside the active set, so the signs inside
+            # it tell whether the mask moved
+            mask = fld.volume.values.take(speed.active.index) < 0
             if prev_mask is not None and np.array_equal(mask, prev_mask):
                 stagnant += 1
                 if stagnant >= cfg.stagnation_window:

@@ -3,9 +3,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
+from .active import ActiveSet
 from .volumes import BinaryMask, ScalarVolume
 
 
@@ -27,6 +29,12 @@ class SpeedField:
     sup_gx: float
     sup_gy: float
     sup_gz: float
+
+    @cached_property
+    def active(self) -> ActiveSet:
+        """Where the update can move the front, with the step's neighbour
+        tables: built at the first step and kept for the field's life."""
+        return ActiveSet(self.g.values, tuple(c.values for c in self.grad_g))
 
 
 def gradient_centered(vol: ScalarVolume, dx: float):

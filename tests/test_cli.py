@@ -36,6 +36,15 @@ def test_phantom_bad_spec(tmp_path):
     assert main(["phantom", "--spec", str(bad), "--out", str(tmp_path / "out")]) == 1
 
 
+def test_phantom_spec_bad_dims(tmp_path, capsys):
+    tube = {"centers": [[2, 2]], "radii": [2]}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dims": [8, 8], "tubes": [tube, tube]}))
+    assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 def test_segment_end_to_end(phantom_dir, tmp_path, capsys):
     out = tmp_path / "run"
     rc = main([
@@ -136,6 +145,18 @@ def test_segment_seed_off_grid(phantom_dir, tmp_path, capsys):
         "segment", "--input", str(phantom_dir / "volume.json"),
         "--seed-left", "999,40,20", "--seed-right", "57,40,20",
         "--model", "gmfd1", "--nmax", "5", "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_segment_start_slice_out_of_range(phantom_dir, tmp_path, capsys):
+    rc = main([
+        "segment", "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "gmfd1", "--nmax", "1", "--out", str(tmp_path / "x"),
+        "--postprocess", "--start-slice", "99",
     ])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()

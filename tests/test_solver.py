@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
+from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
 from levelseg.solver import (
     BlowupError,
     LevelSetField,
@@ -18,7 +20,7 @@ from levelseg.solver import (
     step,
     upwind_diffs,
 )
-from levelseg.speed import Model, SpeedField
+from levelseg.speed import Model, SpeedField, build_speed, cfl_dt
 from levelseg.volumes import ScalarVolume, VoxelIndex
 
 DX = 0.1
@@ -221,6 +223,7 @@ def test_step_zero_speed_is_noop():
     dims = (15, 15, 15)
     fld = init_levelset(dims, DX, VoxelIndex(7, 7, 7), 5.0)
     sp = _speed_from_g(np.zeros(dims))
+    assert sp.active.index.size == 0
     for model in Model:
         cfg = SolverConfig(model=model, seed=VoxelIndex(7, 7, 7))
         out = step(fld, sp, cfg, 0.01)
@@ -317,6 +320,133 @@ def test_step_blowup_detected():
         step(fld, sp, cfg, 1e6)
 
 
+# --------------------------------------------- step on the active set only
+
+def _full_grid_upwind(u, dx):
+    out = []
+    for axis in range(3):
+        d = np.diff(u, axis=axis) / dx
+        first = np.take(d, [0], axis=axis)
+        last = np.take(d, [-1], axis=axis)
+        out.append(np.concatenate([first, d], axis=axis))
+        out.append(np.concatenate([d, last], axis=axis))
+    return tuple(out)
+
+
+def _full_grid_curvature(u, dx, delta):
+    w = np.pad(u, 1, mode="edge")
+    c = w[1:-1, 1:-1, 1:-1]
+    xp, xm = w[2:, 1:-1, 1:-1], w[:-2, 1:-1, 1:-1]
+    yp, ym = w[1:-1, 2:, 1:-1], w[1:-1, :-2, 1:-1]
+    zp, zm = w[1:-1, 1:-1, 2:], w[1:-1, 1:-1, :-2]
+    vx = (xp - xm) / (2 * dx)
+    vy = (yp - ym) / (2 * dx)
+    vz = (zp - zm) / (2 * dx)
+    vxx = (xp - 2 * c + xm) / dx**2
+    vyy = (yp - 2 * c + ym) / dx**2
+    vzz = (zp - 2 * c + zm) / dx**2
+    vxy = (w[2:, 2:, 1:-1] + w[:-2, :-2, 1:-1] - w[2:, :-2, 1:-1] - w[:-2, 2:, 1:-1]) / (4 * dx**2)
+    vxz = (w[2:, 1:-1, 2:] + w[:-2, 1:-1, :-2] - w[2:, 1:-1, :-2] - w[:-2, 1:-1, 2:]) / (4 * dx**2)
+    vyz = (w[1:-1, 2:, 2:] + w[1:-1, :-2, :-2] - w[1:-1, 2:, :-2] - w[1:-1, :-2, 2:]) / (4 * dx**2)
+    sq = vx * vx + vy * vy + vz * vz
+    num = (
+        vxx * (vy * vy + vz * vz)
+        + vyy * (vx * vx + vz * vz)
+        + vzz * (vx * vx + vy * vy)
+        - 2 * vx * vy * vxy
+        - 2 * vx * vz * vxz
+        - 2 * vy * vz * vyz
+    )
+    return num / (sq + delta) ** 1.5
+
+
+def _full_grid_step(fld, speed, cfg, dt):
+    """Reference: the explicit update evaluated on every voxel, with
+    whole-grid differences, np.gradient and edge-padded curvature."""
+    u = fld.volume.values
+    g = speed.g.values
+    grads = tuple(gg.values for gg in speed.grad_g)
+    h = llf_hamiltonian(cfg.model, g, grads, _full_grid_upwind(u, cfg.dx), cfg.mu, cfg.eta)
+    if cfg.model is Model.GEODESIC2:
+        kappa = _full_grid_curvature(u, cfg.dx, cfg.curvature_delta)
+        cx, cy, cz = np.gradient(u, cfg.dx)
+        grad_norm = np.sqrt(cx * cx + cy * cy + cz * cz)
+        h = h - cfg.epsilon * g * grad_norm * kappa
+    return LevelSetField(ScalarVolume(u - dt * h, fld.volume.spacing), fld.n + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(list(Model)),
+    dims=st.tuples(*[st.integers(3, 7)] * 3),
+    density=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_equals_full_grid_oracle(model, dims, density, seed):
+    # g has zero patches and is nonzero at all eight corners, so every
+    # face rule (both ends of every axis) runs on active voxels
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.05, 1.0, dims) * (rng.random(dims) < density)
+    lo = [rng.integers(0, n) for n in dims]
+    hi = [rng.integers(a, n + 1) for a, n in zip(lo, dims)]
+    g[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = 0.0
+    g[np.ix_(*[[0, n - 1] for n in dims])] = rng.uniform(0.05, 1.0, (2, 2, 2))
+    sp = _speed_from_g(g)
+    cfg = SolverConfig(model=model)
+    fld = ref = LevelSetField(ScalarVolume(rng.standard_normal(dims) * 0.3))
+    for _ in range(3):
+        fld = step(fld, sp, cfg, 0.002)
+        ref = _full_grid_step(ref, sp, cfg, 0.002)
+        assert np.array_equal(fld.volume.values, ref.volume.values)
+
+
+@pytest.fixture(scope="module")
+def easy_speed():
+    spec = suite_spec("easy")
+    raw, _, _ = generate_phantom(spec)
+    image, tissue = preprocess_pipeline(raw, PreprocessConfig(sigma=SUITE_PARAMS["easy"]["sigma"]))
+    return raw, tube_seed(spec, "left"), build_speed(image, tissue)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_step_equals_full_grid_oracle_on_easy(easy_speed, model):
+    raw, seed, sp = easy_speed
+    cfg = SolverConfig(model=model, seed=seed)
+    dt = cfl_dt(sp, model, cfg.mu, cfg.eta, cfg.dx)
+    fld = ref = init_levelset(raw.dims, cfg.dx, seed, cfg.seed_radius_voxels, raw.spacing)
+    for _ in range(50):
+        fld = step(fld, sp, cfg, dt)
+        ref = _full_grid_step(ref, sp, cfg, dt)
+        assert np.array_equal(fld.volume.values, ref.volume.values)
+    assert fld.n == ref.n == 50
+
+
+def test_step_is_pure_and_reuses_tables():
+    dims = (11, 11, 11)
+    rng = np.random.default_rng(7)
+    g = rng.uniform(0.2, 1.0, dims)
+    g[:5] = 0.0
+    sp = _speed_from_g(g)
+    cfg = SolverConfig(model=Model.GEODESIC2)
+    fld = init_levelset(dims, DX, VoxelIndex(5, 5, 5), 3.0)
+    before = fld.volume.values.copy()
+    out = step(fld, sp, cfg, 0.0025)
+    assert np.array_equal(fld.volume.values, before)
+    assert out.volume.values is not fld.volume.values
+    # the active set is where g or grad g is nonzero; nothing else moves
+    grads = [gg.values for gg in sp.grad_g]
+    active = (g != 0) | (grads[0] != 0) | (grads[1] != 0) | (grads[2] != 0)
+    assert np.array_equal(np.flatnonzero(active), sp.active.index)
+    assert not active[:4].any()
+    assert np.array_equal(out.volume.values[~active], before[~active])
+    act = sp.active
+    tables = (act.upwind, act.stencil)
+    for _ in range(3):
+        out = step(out, sp, cfg, 0.0025)
+    assert sp.active is act
+    assert act.upwind is tables[0] and act.stencil is tables[1]
+
+
 # ------------------------------------------------------------ extract_mask
 
 def test_extract_mask_strict_negative():
@@ -390,6 +520,27 @@ def test_evolve_early_stop_stagnation():
     )
     result = evolve(vol, cfg)
     assert result.iterations < 5000
+
+
+def test_evolve_stagnation_matches_whole_grid_masks():
+    # reference loop: stop once the whole-grid mask has not changed for
+    # `stagnation_window` consecutive steps
+    vol = _uniform_phantom()
+    cfg = SolverConfig(model=Model.GEODESIC1, seed=VoxelIndex(12, 12, 12), n_max=5000,
+                       early_stop="stagnation", stagnation_window=10)
+    result = evolve(vol, cfg)
+    image, tissue = preprocess_pipeline(vol, PreprocessConfig())
+    sp = build_speed(image, tissue, cfg.p, cfg.dx)
+    fld = init_levelset(vol.dims, cfg.dx, cfg.seed, cfg.seed_radius_voxels, vol.spacing)
+    dt = cfl_dt(sp, cfg.model, cfg.mu, cfg.eta, cfg.dx)
+    prev, stagnant = None, 0
+    while fld.n < cfg.n_max and stagnant < cfg.stagnation_window:
+        fld = step(fld, sp, cfg, dt)
+        mask = extract_mask(fld).values
+        stagnant = stagnant + 1 if prev is not None and np.array_equal(mask, prev) else 0
+        prev = mask
+    assert result.iterations == fld.n < cfg.n_max
+    assert np.array_equal(result.mask.values, mask)
 
 
 def test_solver_config_validation():
