@@ -31,7 +31,7 @@ def profile(model, raw, speed, seed, truth, n_max, check_every=10):
     t0 = time.perf_counter()
     curve = []
     for n in range(1, n_max + 1):
-        fld = step(fld, speed, cfg, dt)
+        fld = step(fld, speed.active, cfg, dt)
         if n % check_every == 0:
             d = dice(extract_mask(fld), truth)
             curve.append((n, d))

@@ -26,20 +26,14 @@ STENCIL = (
 )
 
 
-def upwind_pairs(i, n):
-    """Coordinates (hi, lo) along an axis of `n` voxels of the backward and
-    of the forward difference at coordinate(s) `i`, each (u[hi] - u[lo])/dx.
-    At a face the missing one-sided difference is replaced by the
-    available one."""
-    lo_m = np.maximum(i - 1, 0)
-    lo_p = np.minimum(i, n - 2)
-    return (lo_m + 1, lo_m), (lo_p + 1, lo_p)
-
-
 class ActiveSet:
     """The voxels where g or a component of grad g is nonzero, as flat
     C-order indices, with g and grad g there and the tables of neighbour
-    indices that the step gathers level-set values from."""
+    indices that the step gathers level-set values from.
+
+    The tables are built on first use and then only read, so build the
+    ones a run needs before threads share the set.
+    """
 
     def __init__(self, g, grad_g):
         active = g != 0
@@ -49,35 +43,31 @@ class ActiveSet:
         self.index = np.flatnonzero(active)
         self.g = g.take(self.index)
         self.grad_g = tuple(c.take(self.index) for c in grad_g)
+        # per axis, the positions in the set of the voxels on either grid
+        # face normal to it, where one face neighbour is the voxel itself
+        self.on_face = tuple(np.flatnonzero((i == 0) | (i == n - 1))
+                             for i, n in zip(self._coords(), self.shape))
 
     def _coords(self):
         return np.unravel_index(self.index, self.shape)
 
-    @cached_property
-    def upwind(self):
-        """(hi, lo), each (6, N): the flat indices of the one-sided
-        differences (p-, p+, q-, q+, r-, r+) = (u[hi] - u[lo])/dx."""
+    def _neighbours(self, offsets):
         coords = self._coords()
-        hi, lo = [], []
-        for axis, n in enumerate(self.shape):
-            for pair in upwind_pairs(coords[axis], n):
-                for table, c in zip((hi, lo), pair):
-                    at = coords[:axis] + (c,) + coords[axis + 1:]
-                    table.append(np.ravel_multi_index(at, self.shape))
-        return np.stack(hi), np.stack(lo)
+        return np.stack([
+            np.ravel_multi_index(tuple(c + o for c, o in zip(coords, offset)),
+                                 self.shape, mode="clip")
+            for offset in offsets
+        ])
+
+    @cached_property
+    def faces(self):
+        """(7, N): the flat indices of the centre and the six face
+        neighbours, `STENCIL[:7]`, each coordinate clamped to the grid."""
+        return self._neighbours(STENCIL[:7])
 
     @cached_property
     def stencil(self):
-        """(index, span): the (19, N) flat indices of the `STENCIL`
-        neighbours, each coordinate clamped to the grid as by edge
-        padding, and the (3, N) grid steps between the two face neighbours
-        along each axis: 2 inside, 1 on a face, as in `np.gradient`."""
-        coords = self._coords()
-        index = np.stack([
-            np.ravel_multi_index(tuple(c + o for c, o in zip(coords, offset)),
-                                 self.shape, mode="clip")
-            for offset in STENCIL
-        ])
-        span = np.stack([np.where((i > 0) & (i < n - 1), 2.0, 1.0)
-                         for i, n in zip(coords, self.shape)])
-        return index, span
+        """(19, N): the flat indices of the `STENCIL` neighbours, each
+        coordinate clamped to the grid as by edge padding; its first seven
+        rows are `faces`."""
+        return self._neighbours(STENCIL)

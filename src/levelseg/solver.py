@@ -4,14 +4,16 @@ the first/second-order geodesic models on 3D grids."""
 from __future__ import annotations
 
 import copy
+import threading
 import time
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .active import STENCIL, upwind_pairs
+from .active import STENCIL, ActiveSet
 from .preprocess import PreprocessConfig, preprocess_pipeline
-from .speed import Model, SpeedField, build_speed, cfl_dt
+from .speed import Model, build_speed, cfl_dt
 from .volumes import BinaryMask, ScalarVolume, VoxelIndex
 
 
@@ -61,19 +63,21 @@ class EvolutionResult:
     dt: float
 
 
-def init_levelset(dims, dx, seed: VoxelIndex, radius_voxels=5.0,
-                  spacing=(1.0, 1.0, 1.0)) -> LevelSetField:
-    """Signed distance to a sphere of `radius_voxels` voxels centered at
-    `seed`, in grid units (negative inside)."""
+def _check_margin(dims, seed: VoxelIndex, radius_voxels):
     margin = radius_voxels + 2
     for c, n in zip(seed.as_tuple(), dims):
         if c < margin or c > n - 1 - margin:
             raise SeedError(
                 f"seed {seed.as_tuple()} closer than {margin} voxels to a face of {tuple(dims)}"
             )
-    ii, jj, kk = np.meshgrid(
-        np.arange(dims[0]), np.arange(dims[1]), np.arange(dims[2]), indexing="ij"
-    )
+
+
+def init_levelset(dims, dx, seed: VoxelIndex, radius_voxels=5.0,
+                  spacing=(1.0, 1.0, 1.0)) -> LevelSetField:
+    """Signed distance to a sphere of `radius_voxels` voxels centered at
+    `seed`, in grid units (negative inside)."""
+    _check_margin(dims, seed, radius_voxels)
+    ii, jj, kk = np.ogrid[:dims[0], :dims[1], :dims[2]]
     dist = np.sqrt(
         (ii - seed.i) ** 2.0 + (jj - seed.j) ** 2.0 + (kk - seed.k) ** 2.0
     )
@@ -82,15 +86,21 @@ def init_levelset(dims, dx, seed: VoxelIndex, radius_voxels=5.0,
 
 
 def upwind_diffs(v, dx, at: VoxelIndex):
-    """One-sided differences (p-, p+, q-, q+, r-, r+) at a single voxel."""
+    """One-sided differences (p-, p+, q-, q+, r-, r+) at a single voxel.
+    At a face the missing one-sided difference is replaced by the
+    available one."""
     u = v.values if isinstance(v, ScalarVolume) else np.asarray(v)
     idx = at.as_tuple()
+    c = u[idx]
     out = []
     for axis, n in enumerate(u.shape):
-        for hi, lo in upwind_pairs(idx[axis], n):
-            a = idx[:axis] + (hi,) + idx[axis + 1:]
-            b = idx[:axis] + (lo,) + idx[axis + 1:]
-            out.append(float((u[a] - u[b]) / dx))
+        i = idx[axis]
+        p = u[idx[:axis] + (min(i + 1, n - 1),) + idx[axis + 1:]]
+        m = u[idx[:axis] + (max(i - 1, 0),) + idx[axis + 1:]]
+        if 0 < i < n - 1:
+            out += [float((c - m) / dx), float((p - c) / dx)]
+        else:
+            out += [float((p - m) / dx)] * 2
     return tuple(out)
 
 
@@ -164,27 +174,51 @@ def curvature_3d(v, dx, delta=1e-8):
     return num / (sq + delta) ** 1.5
 
 
-def step(fld: LevelSetField, speed: SpeedField, cfg: SolverConfig, dt: float) -> LevelSetField:
+def _face_diffs(c, row, on_face, dx):
+    """The one-sided differences (p-, p+, q-, q+, r-, r+) from the centre
+    values `c` and the face-neighbour rows `row(1)` to `row(6)` of the
+    `STENCIL`, as `upwind_diffs` takes them: on a face, where one neighbour
+    is the voxel itself, both are the one available difference."""
+    out = []
+    for axis, f in enumerate(on_face):
+        p, m = row(1 + 2 * axis), row(2 + 2 * axis)
+        minus, plus = (c - m) / dx, (p - c) / dx
+        minus[f] = plus[f] = (p[f] - m[f]) / dx
+        out += [minus, plus]
+    return out
+
+
+def step(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float) -> LevelSetField:
     """One explicit update, returned as a new field; `fld` is left as it is.
 
-    The update is evaluated on the speed field's active set only.  Every
-    other voxel has g = 0 and grad g = 0, where the update is exactly zero
-    (see `levelseg.active`), so its value is copied unchanged.
+    The update is evaluated on the speed field's active set `act` only.
+    Every other voxel has g = 0 and grad g = 0, where the update is exactly
+    zero (see `levelseg.active`), so its value is copied unchanged.
     """
     u = fld.volume.values
-    act = speed.active
-    hi, lo = act.upwind
-    diffs = (u.take(hi) - u.take(lo)) / cfg.dx
+    if cfg.model is Model.GEODESIC2:
+        nb = u.take(act.stencil)
+        row = nb.__getitem__
+    else:
+        # gathered row by row, so that at most three rows are alive at once
+        def row(k):
+            return u.take(act.faces[k])
+    c = row(0)
+    diffs = _face_diffs(c, row, act.on_face, cfg.dx)
     h = llf_hamiltonian(cfg.model, act.g, act.grad_g, diffs, cfg.mu, cfg.eta)
     if cfg.model is Model.GEODESIC2:
-        index, span = act.stencil
-        nb = u.take(index)
         kappa = curvature_3d(nb, cfg.dx, cfg.curvature_delta)
-        # the centred gradient of np.gradient from the face neighbours
-        cx, cy, cz = (nb[1:7:2] - nb[2:7:2]) / (span * cfg.dx)
+        # the centred gradient of np.gradient: one-sided on a face
+        centred = []
+        for axis, f in enumerate(act.on_face):
+            p, m = nb[1 + 2 * axis], nb[2 + 2 * axis]
+            d = (p - m) / (2 * cfg.dx)
+            d[f] = (p[f] - m[f]) / cfg.dx
+            centred.append(d)
+        cx, cy, cz = centred
         grad_norm = np.sqrt(cx * cx + cy * cy + cz * cz)
         h = h - cfg.epsilon * act.g * grad_norm * kappa
-    new = u.take(act.index) - dt * h
+    new = c - dt * h
     if not np.all(np.isfinite(new)):
         raise BlowupError(f"numerical blow-up at iteration {fld.n + 1}")
     # a copy, not a new ScalarVolume: every value outside the active set
@@ -200,33 +234,45 @@ def extract_mask(fld: LevelSetField) -> BinaryMask:
     return BinaryMask(fld.volume.values < 0, fld.volume.spacing)
 
 
-def evolve(raw_vol: ScalarVolume, cfg: SolverConfig,
-           pre_cfg: PreprocessConfig = None) -> EvolutionResult:
-    """Full single-seed pipeline: preprocess (with `PreprocessConfig()`
-    when `pre_cfg` is None), build the speed field, initialize a sphere at
-    the seed and run up to n_max explicit steps."""
-    seed = cfg.seed
-    if seed is None:
+def _prepare(raw_vol: ScalarVolume, cfg: SolverConfig, seeds, pre_cfg):
+    """Check every seed, preprocess and build the speed field; return its
+    active set, with the step's tables built, and the time step.  The
+    full-grid image, tissue mask, g and grad g are freed on return."""
+    if not seeds or None in seeds:
         raise SeedError("no seed given")
-    if not all(0 <= c < n for c, n in zip(seed.as_tuple(), raw_vol.dims)):
-        raise SeedError(f"seed {seed.as_tuple()} lies outside the volume {tuple(raw_vol.dims)}")
+    for seed in seeds:
+        if not all(0 <= c < n for c, n in zip(seed.as_tuple(), raw_vol.dims)):
+            raise SeedError(f"seed {seed.as_tuple()} lies outside the volume {tuple(raw_vol.dims)}")
     image, tissue = preprocess_pipeline(raw_vol, pre_cfg or PreprocessConfig())
-    if not tissue.values[seed.i, seed.j, seed.k]:
-        raise SeedError(f"seed {seed.as_tuple()} lies outside the tissue mask")
+    for seed in seeds:
+        if not tissue.values[seed.i, seed.j, seed.k]:
+            raise SeedError(f"seed {seed.as_tuple()} lies outside the tissue mask")
+        _check_margin(raw_vol.dims, seed, cfg.seed_radius_voxels)
     speed = build_speed(image, tissue, cfg.p, cfg.dx)
-    fld = init_levelset(raw_vol.dims, cfg.dx, seed, cfg.seed_radius_voxels,
-                        raw_vol.spacing)
     dt = cfl_dt(speed, cfg.model, cfg.mu, cfg.eta, cfg.dx)
+    act = speed.active
+    # the step's table is a cached property: build it before threads share it
+    getattr(act, "stencil" if cfg.model is Model.GEODESIC2 else "faces")
+    return act, dt
 
+
+def _evolve_one(raw_vol: ScalarVolume, act: ActiveSet, cfg: SolverConfig, dt: float,
+                abort: threading.Event) -> EvolutionResult:
+    """Initialize a sphere at `cfg.seed` and run up to n_max explicit
+    steps, or stop early once `abort` is set."""
+    fld = init_levelset(raw_vol.dims, cfg.dx, cfg.seed, cfg.seed_radius_voxels,
+                        raw_vol.spacing)
     start = time.perf_counter()
     prev_mask = None
     stagnant = 0
     for _ in range(cfg.n_max):
-        fld = step(fld, speed, cfg, dt)
+        if abort.is_set():
+            break
+        fld = step(fld, act, cfg, dt)
         if cfg.early_stop == "stagnation":
             # u never changes outside the active set, so the signs inside
             # it tell whether the mask moved
-            mask = fld.volume.values.take(speed.active.index) < 0
+            mask = fld.volume.values.take(act.index) < 0
             if prev_mask is not None and np.array_equal(mask, prev_mask):
                 stagnant += 1
                 if stagnant >= cfg.stagnation_window:
@@ -236,3 +282,39 @@ def evolve(raw_vol: ScalarVolume, cfg: SolverConfig,
             prev_mask = mask
     elapsed = time.perf_counter() - start
     return EvolutionResult(extract_mask(fld), fld.n, elapsed, dt)
+
+
+def evolve_seeds(raw_vol: ScalarVolume, cfg: SolverConfig, seeds,
+                 pre_cfg: PreprocessConfig = None) -> list:
+    """Segment one region per seed, with `cfg` for every seed (its own
+    `seed` is ignored); return one `EvolutionResult` per seed, in order.
+
+    Every seed is checked before any work starts.  The volume is
+    preprocessed (with `PreprocessConfig()` when `pre_cfg` is None) and
+    the speed field built once; then the first seed's loop runs on the
+    calling thread and each further seed's on a worker thread, all sharing
+    the read-only active set.  numpy releases the GIL inside its array
+    loops, so the loops overlap.  When a loop raises, the others stop at
+    their next step and the exception propagates.
+    """
+    seeds = list(seeds)
+    act, dt = _prepare(raw_vol, cfg, seeds, pre_cfg)
+    abort = threading.Event()
+
+    def run(seed):
+        try:
+            return _evolve_one(raw_vol, act, replace(cfg, seed=seed), dt, abort)
+        except BaseException:
+            abort.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=max(len(seeds) - 1, 1)) as pool:
+        rest = [pool.submit(run, seed) for seed in seeds[1:]]
+        first = run(seeds[0])
+        return [first] + [future.result() for future in rest]
+
+
+def evolve(raw_vol: ScalarVolume, cfg: SolverConfig,
+           pre_cfg: PreprocessConfig = None) -> EvolutionResult:
+    """Full single-seed pipeline: `evolve_seeds` with `cfg.seed` alone."""
+    return evolve_seeds(raw_vol, cfg, [cfg.seed], pre_cfg)[0]

@@ -95,12 +95,12 @@ def test_criterion_monotonicity(record_criterion):
         dt = cfl_dt(sp, model, dx=DX)
         for _ in range(10):
             u = rng.standard_normal(dims) * 0.1
-            base = step(LevelSetField(ScalarVolume(u)), sp, cfg, dt).volume.values
+            base = step(LevelSetField(ScalarVolume(u)), sp.active, cfg, dt).volume.values
             for _ in range(50):
                 i, j, k = rng.integers(0, 9, size=3)
                 bumped = u.copy()
                 bumped[i, j, k] += rng.uniform(0.001, 0.05)
-                out = step(LevelSetField(ScalarVolume(bumped)), sp, cfg, dt).volume.values
+                out = step(LevelSetField(ScalarVolume(bumped)), sp.active, cfg, dt).volume.values
                 # face replication couples a face voxel to itself outside
                 # the monotone stencil form; check the interior
                 inner = (slice(1, -1),) * 3
@@ -131,7 +131,7 @@ def test_criterion_eikonal_expansion(record_criterion):
     dt = 0.25 * cfl_dt(sp, Model.CLASSICAL, dx=DX)
     fld = init_levelset(dims, DX, seed, 5.0)
     for _ in range(100):
-        fld = step(fld, sp, cfg, dt)
+        fld = step(fld, sp.active, cfg, dt)
     mask = extract_mask(fld).values
     ii, jj, kk = np.meshgrid(*[np.arange(64)] * 3, indexing="ij")
     dist = np.sqrt((ii - 31) ** 2 + (jj - 31) ** 2 + (kk - 31) ** 2)
@@ -183,8 +183,8 @@ def test_criterion_second_order_epsilon_zero(record_criterion):
         dt = 0.0025
         cfg1 = SolverConfig(model=Model.GEODESIC1, seed=VoxelIndex(8, 8, 8))
         cfg2 = SolverConfig(model=Model.GEODESIC2, epsilon=0.0, seed=VoxelIndex(8, 8, 8))
-        a = step(fld, sp, cfg1, dt).volume.values
-        b = step(fld, sp, cfg2, dt).volume.values
+        a = step(fld, sp.active, cfg1, dt).volume.values
+        b = step(fld, sp.active, cfg2, dt).volume.values
         worst = max(worst, float(np.abs(a - b).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 5.0
@@ -270,7 +270,7 @@ def test_criterion_cost_gap(record_criterion):
         dt = cfl_dt(speed, model, dx=DX)
         t0 = time.perf_counter()
         for n in range(1, n_cap + 1):
-            fld = step(fld, speed, cfg, dt)
+            fld = step(fld, speed.active, cfg, dt)
             if dice(extract_mask(fld), truth_left) >= target:
                 return n, time.perf_counter() - t0
         return None, time.perf_counter() - t0

@@ -1,9 +1,11 @@
 """End-to-end command-line interface checks."""
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from levelseg import solver
 from levelseg.cli import main
 from levelseg.metrics import dice
 from levelseg.phantom import SUITE_PARAMS
@@ -138,6 +140,45 @@ def test_segment_seed_outside_tissue(phantom_dir, tmp_path, capsys):
     ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_segment_right_seed_outside_tissue_fails_before_stepping(phantom_dir, tmp_path,
+                                                               capsys, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("step called")
+
+    monkeypatch.setattr(solver, "step", no_step)
+    rc = main([
+        "segment", "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20",
+        "--seed-right", "40,12,20",  # bone region
+        "--model", "gmfd1", "--nmax", "5", "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "tissue" in err[0], err
+
+
+def test_segment_worker_error_is_one_line(phantom_dir, tmp_path, capsys, monkeypatch):
+    # the right seed runs on the worker thread; its error ends the run
+    original = solver.step
+
+    def failing_step(fld, act, cfg, dt):
+        if threading.current_thread() is not threading.main_thread():
+            raise solver.BlowupError(f"numerical blow-up at iteration {fld.n + 1}")
+        return original(fld, act, cfg, dt)
+
+    monkeypatch.setattr(solver, "step", failing_step)
+    before = threading.enumerate()
+    rc = main([
+        "segment", "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "gmfd1", "--nmax", "400", "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: numerical blow-up at iteration 1"]
+    assert threading.enumerate() == before
 
 
 def test_segment_seed_off_grid(phantom_dir, tmp_path, capsys):

@@ -1,10 +1,15 @@
 """Level-set initialization, upwind differences, the Lax-Friedrichs
 Hamiltonian, curvature and the explicit evolution loop."""
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelseg import solver
 from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
 from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
 from levelseg.solver import (
@@ -14,6 +19,7 @@ from levelseg.solver import (
     SolverConfig,
     curvature_3d,
     evolve,
+    evolve_seeds,
     extract_mask,
     init_levelset,
     llf_hamiltonian,
@@ -53,6 +59,14 @@ def test_init_values_at_key_distances():
     assert fld.volume.values[15, 15, 15] == pytest.approx(-0.5)
     assert fld.volume.values[20, 15, 15] == pytest.approx(0.0)
     assert fld.volume.values[25, 15, 15] == pytest.approx(0.5)
+
+
+def test_init_levelset_equals_meshgrid_form():
+    dims, seed = (23, 17, 19), VoxelIndex(9, 8, 11)
+    ii, jj, kk = np.meshgrid(*[np.arange(n) for n in dims], indexing="ij")
+    dist = np.sqrt((ii - seed.i) ** 2.0 + (jj - seed.j) ** 2.0 + (kk - seed.k) ** 2.0)
+    fld = init_levelset(dims, DX, seed, 4.5)
+    assert np.array_equal(fld.volume.values, DX * dist - DX * 4.5)
 
 
 def test_init_margin_enforced():
@@ -226,7 +240,7 @@ def test_step_zero_speed_is_noop():
     assert sp.active.index.size == 0
     for model in Model:
         cfg = SolverConfig(model=model, seed=VoxelIndex(7, 7, 7))
-        out = step(fld, sp, cfg, 0.01)
+        out = step(fld, sp.active, cfg, 0.01)
         assert np.array_equal(out.volume.values, fld.volume.values)
         assert out.n == fld.n + 1
 
@@ -242,7 +256,7 @@ def test_step_eikonal_expansion_short():
     dt = DX / 3.0
     n = 20
     for _ in range(n):
-        fld = step(fld, sp, cfg, dt)
+        fld = step(fld, sp.active, cfg, dt)
     mask = extract_mask(fld).values
     ii, jj, kk = np.meshgrid(*[np.arange(33)] * 3, indexing="ij")
     dist = np.sqrt((ii - 16) ** 2 + (jj - 16) ** 2 + (kk - 16) ** 2)
@@ -265,7 +279,7 @@ def test_step_classical_nonincreasing_away_from_tip():
     prev = fld.volume.values
     prev_count = extract_mask(fld).count()
     for _ in range(10):
-        fld = step(fld, sp, cfg, DX / 3.0)
+        fld = step(fld, sp.active, cfg, DX / 3.0)
         assert np.all(fld.volume.values[away] <= prev[away] + 1e-12)
         count = extract_mask(fld).count()
         assert count >= prev_count
@@ -283,8 +297,8 @@ def test_step_epsilon_zero_matches_first_order():
     dt = 0.0025
     a, b = fld, fld
     for _ in range(5):
-        a = step(a, sp, cfg1, dt)
-        b = step(b, sp, cfg2, dt)
+        a = step(a, sp.active, cfg1, dt)
+        b = step(b, sp.active, cfg2, dt)
     assert np.max(np.abs(a.volume.values - b.volume.values)) <= 1e-12
 
 
@@ -298,12 +312,12 @@ def test_step_monotone_under_cfl():
     cfg = SolverConfig(model=Model.GEODESIC1, seed=VoxelIndex(4, 4, 4))
     dt = DX / (3.0 * sp.sup_g + sp.sup_gx + sp.sup_gy + sp.sup_gz)
     u = rng.standard_normal(dims) * 0.1
-    base = step(LevelSetField(ScalarVolume(u)), sp, cfg, dt).volume.values
+    base = step(LevelSetField(ScalarVolume(u)), sp.active, cfg, dt).volume.values
     for _ in range(200):
         i, j, k = rng.integers(1, 8, size=3)
         bumped = u.copy()
         bumped[i, j, k] += rng.uniform(0.001, 0.05)
-        out = step(LevelSetField(ScalarVolume(bumped)), sp, cfg, dt).volume.values
+        out = step(LevelSetField(ScalarVolume(bumped)), sp.active, cfg, dt).volume.values
         inner = (slice(1, -1),) * 3
         assert np.all(out[inner] >= base[inner] - 1e-12)
 
@@ -317,7 +331,7 @@ def test_step_blowup_detected():
     u[4, 4, 4] = 1e308
     fld = LevelSetField(ScalarVolume(u), n=6)
     with pytest.raises(BlowupError, match="iteration 7"):
-        step(fld, sp, cfg, 1e6)
+        step(fld, sp.active, cfg, 1e6)
 
 
 # --------------------------------------------- step on the active set only
@@ -395,7 +409,7 @@ def test_step_equals_full_grid_oracle(model, dims, density, seed):
     cfg = SolverConfig(model=model)
     fld = ref = LevelSetField(ScalarVolume(rng.standard_normal(dims) * 0.3))
     for _ in range(3):
-        fld = step(fld, sp, cfg, 0.002)
+        fld = step(fld, sp.active, cfg, 0.002)
         ref = _full_grid_step(ref, sp, cfg, 0.002)
         assert np.array_equal(fld.volume.values, ref.volume.values)
 
@@ -415,10 +429,30 @@ def test_step_equals_full_grid_oracle_on_easy(easy_speed, model):
     dt = cfl_dt(sp, model, cfg.mu, cfg.eta, cfg.dx)
     fld = ref = init_levelset(raw.dims, cfg.dx, seed, cfg.seed_radius_voxels, raw.spacing)
     for _ in range(50):
-        fld = step(fld, sp, cfg, dt)
+        fld = step(fld, sp.active, cfg, dt)
         ref = _full_grid_step(ref, sp, cfg, dt)
         assert np.array_equal(fld.volume.values, ref.volume.values)
     assert fld.n == ref.n == 50
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_step_equals_full_grid_oracle_on_all_faces(model):
+    # g is nonzero on every face voxel, so the active set touches all six
+    # faces, along with its edges and corners
+    dims = (6, 7, 8)
+    rng = np.random.default_rng(23)
+    g = rng.uniform(0.05, 1.0, dims)
+    g[2:4, 2:5, 2:6] = 0.0
+    sp = _speed_from_g(g)
+    coords = np.unravel_index(sp.active.index, dims)
+    for axis, n in enumerate(dims):
+        assert (coords[axis] == 0).any() and (coords[axis] == n - 1).any()
+    cfg = SolverConfig(model=model)
+    fld = ref = LevelSetField(ScalarVolume(rng.standard_normal(dims) * 0.3))
+    for _ in range(5):
+        fld = step(fld, sp.active, cfg, 0.002)
+        ref = _full_grid_step(ref, sp, cfg, 0.002)
+        assert np.array_equal(fld.volume.values, ref.volume.values)
 
 
 def test_step_is_pure_and_reuses_tables():
@@ -426,25 +460,30 @@ def test_step_is_pure_and_reuses_tables():
     rng = np.random.default_rng(7)
     g = rng.uniform(0.2, 1.0, dims)
     g[:5] = 0.0
-    sp = _speed_from_g(g)
-    cfg = SolverConfig(model=Model.GEODESIC2)
-    fld = init_levelset(dims, DX, VoxelIndex(5, 5, 5), 3.0)
-    before = fld.volume.values.copy()
-    out = step(fld, sp, cfg, 0.0025)
-    assert np.array_equal(fld.volume.values, before)
-    assert out.volume.values is not fld.volume.values
-    # the active set is where g or grad g is nonzero; nothing else moves
-    grads = [gg.values for gg in sp.grad_g]
-    active = (g != 0) | (grads[0] != 0) | (grads[1] != 0) | (grads[2] != 0)
-    assert np.array_equal(np.flatnonzero(active), sp.active.index)
-    assert not active[:4].any()
-    assert np.array_equal(out.volume.values[~active], before[~active])
-    act = sp.active
-    tables = (act.upwind, act.stencil)
-    for _ in range(3):
-        out = step(out, sp, cfg, 0.0025)
-    assert sp.active is act
-    assert act.upwind is tables[0] and act.stencil is tables[1]
+    for model in Model:
+        sp = _speed_from_g(g)
+        cfg = SolverConfig(model=model)
+        fld = init_levelset(dims, DX, VoxelIndex(5, 5, 5), 3.0)
+        before = fld.volume.values.copy()
+        out = step(fld, sp.active, cfg, 0.0025)
+        assert np.array_equal(fld.volume.values, before)
+        assert out.volume.values is not fld.volume.values
+        # the active set is where g or grad g is nonzero; nothing else moves
+        grads = [gg.values for gg in sp.grad_g]
+        active = (g != 0) | (grads[0] != 0) | (grads[1] != 0) | (grads[2] != 0)
+        assert np.array_equal(np.flatnonzero(active), sp.active.index)
+        assert not active[:4].any()
+        assert np.array_equal(out.volume.values[~active], before[~active])
+        # one gather table per model: the 19-point stencil for gmfd2, the
+        # 7-point faces table, its first seven rows, for the others
+        act = sp.active
+        name = "stencil" if model is Model.GEODESIC2 else "faces"
+        table = getattr(act, name)
+        assert set(vars(act)) & {"stencil", "faces"} == {name}
+        for _ in range(3):
+            out = step(out, sp.active, cfg, 0.0025)
+        assert sp.active is act and getattr(act, name) is table
+        assert np.array_equal(act.faces, act.stencil[:7])
 
 
 # ------------------------------------------------------------ extract_mask
@@ -535,12 +574,92 @@ def test_evolve_stagnation_matches_whole_grid_masks():
     dt = cfl_dt(sp, cfg.model, cfg.mu, cfg.eta, cfg.dx)
     prev, stagnant = None, 0
     while fld.n < cfg.n_max and stagnant < cfg.stagnation_window:
-        fld = step(fld, sp, cfg, dt)
+        fld = step(fld, sp.active, cfg, dt)
         mask = extract_mask(fld).values
         stagnant = stagnant + 1 if prev is not None and np.array_equal(mask, prev) else 0
         prev = mask
     assert result.iterations == fld.n < cfg.n_max
     assert np.array_equal(result.mask.values, mask)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_evolve_seeds_equals_evolve_per_seed(model):
+    # two muscle blocks of different widths: the seeds stagnate at
+    # different iterations, so one loop ends while the other still runs
+    vals = np.full((40, 25, 25), -100.0)
+    vals[3:18, 3:-3, 3:-3] = 60.0
+    vals[20:37, 3:-3, 3:-3] = 60.0
+    vol = ScalarVolume(vals)
+    seeds = [VoxelIndex(10, 12, 12), VoxelIndex(28, 12, 12)]
+    cfg = SolverConfig(model=model, n_max=1000, early_stop="stagnation", stagnation_window=20)
+    pair = evolve_seeds(vol, cfg, seeds)
+    singles = [evolve(vol, SolverConfig(model=model, seed=seed, n_max=1000,
+                                        early_stop="stagnation", stagnation_window=20))
+               for seed in seeds]
+    for got, want in zip(pair, singles):
+        assert np.array_equal(got.mask.values, want.mask.values)
+        assert got.iterations == want.iterations < cfg.n_max
+        assert got.dt == want.dt
+    assert pair[0].iterations != pair[1].iterations
+
+
+def test_evolve_seeds_more_workers_than_cores_fast_switching():
+    # three workers share the active set while the interpreter switches
+    # threads every microsecond; each seed must still get its own result
+    vol = _uniform_phantom()
+    seeds = [VoxelIndex(12, 12, 12), VoxelIndex(9, 12, 12), VoxelIndex(12, 15, 12),
+             VoxelIndex(12, 12, 8)]
+    cfg = SolverConfig(model=Model.GEODESIC2, n_max=40)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = evolve_seeds(vol, cfg, seeds)
+    finally:
+        sys.setswitchinterval(interval)
+    for got, seed in zip(results, seeds):
+        want = evolve(vol, SolverConfig(model=Model.GEODESIC2, seed=seed, n_max=40))
+        assert np.array_equal(got.mask.values, want.mask.values)
+        assert got.iterations == want.iterations == 40
+
+
+def test_evolve_seeds_checks_every_seed_before_stepping(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("step called")
+
+    monkeypatch.setattr(solver, "step", no_step)
+    cfg = SolverConfig(model=Model.GEODESIC1, n_max=5)
+    good = VoxelIndex(12, 12, 12)
+    with pytest.raises(SeedError, match="outside the volume"):
+        evolve_seeds(_uniform_phantom(), cfg, [good, VoxelIndex(12, 99, 12)])
+    with pytest.raises(SeedError, match="tissue"):
+        evolve_seeds(_uniform_phantom(), cfg, [good, VoxelIndex(12, 12, 1)])
+    with pytest.raises(SeedError, match="closer than"):
+        evolve_seeds(_uniform_phantom(), cfg, [good, VoxelIndex(12, 12, 4)])
+    with pytest.raises(SeedError, match="no seed"):
+        evolve_seeds(_uniform_phantom(), cfg, [])
+
+
+def test_evolve_seeds_stops_the_other_loop_on_error(monkeypatch):
+    # the worker's loop raises at its third step; the calling thread's loop
+    # stops at its next step and the worker's exception propagates
+    calls = {}
+    original = solver.step
+
+    def failing_step(fld, act, cfg, dt):
+        name = threading.current_thread().name
+        calls[name] = calls.get(name, 0) + 1
+        if threading.current_thread() is not threading.main_thread() and fld.n == 2:
+            raise BlowupError("numerical blow-up at iteration 3")
+        time.sleep(0.001)
+        return original(fld, act, cfg, dt)
+
+    monkeypatch.setattr(solver, "step", failing_step)
+    before = threading.active_count()
+    cfg = SolverConfig(model=Model.CLASSICAL, n_max=5000)
+    with pytest.raises(BlowupError, match="iteration 3"):
+        evolve_seeds(_uniform_phantom(), cfg, [VoxelIndex(12, 12, 12), VoxelIndex(11, 12, 12)])
+    assert threading.active_count() == before
+    assert calls[threading.main_thread().name] < 5000
 
 
 def test_solver_config_validation():
