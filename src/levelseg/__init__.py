@@ -23,7 +23,6 @@ from .solver import (
     init_levelset,
     llf_hamiltonian,
     step,
-    upwind_diffs,
 )
 from .speed import Model, SpeedField, build_speed, cfl_dt, gradient_centered
 from .volumes import (

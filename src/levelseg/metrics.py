@@ -64,46 +64,46 @@ def surface_voxels(mask: BinaryMask) -> np.ndarray:
     return np.argwhere(m & ~interior)
 
 
-def _physical(points, spacing):
-    return points * np.asarray(spacing, dtype=np.float64)
-
-
-def _boundary_points(a, b, spacing, surface_only):
+def _surface_distances(a: BinaryMask, b: BinaryMask, spacing):
+    """Closest-point distances, in physical units, from each surface voxel
+    of `a` to the surface of `b` (`d_ab`) and back (`d_ba`)."""
     _check_dims(a, b)
     if a.count() == 0 or b.count() == 0:
         raise MetricsError("distance metrics require two nonempty masks")
-    if spacing is None:
-        spacing = a.spacing
-    if surface_only:
-        pa, pb = surface_voxels(a), surface_voxels(b)
-    else:
-        pa, pb = np.argwhere(a.values), np.argwhere(b.values)
-    return _physical(pa, spacing), _physical(pb, spacing)
-
-
-def hausdorff(a: BinaryMask, b: BinaryMask, spacing=None, surface_only=True) -> float:
-    """Greatest closest-point distance between the two masks, in physical
-    units.  Computed on surface voxels by default; `surface_only=False`
-    uses every foreground voxel."""
-    pa, pb = _boundary_points(a, b, spacing, surface_only)
+    scale = np.asarray(a.spacing if spacing is None else spacing, dtype=np.float64)
+    pa, pb = surface_voxels(a) * scale, surface_voxels(b) * scale
     d_ab, _ = cKDTree(pb).query(pa)
     d_ba, _ = cKDTree(pa).query(pb)
+    return d_ab, d_ba
+
+
+def _hausdorff(d_ab, d_ba) -> float:
     return float(max(d_ab.max(), d_ba.max()))
+
+
+def _assd(d_ab, d_ba) -> float:
+    return float((d_ab.sum() + d_ba.sum()) / (len(d_ab) + len(d_ba)))
+
+
+def hausdorff(a: BinaryMask, b: BinaryMask, spacing=None) -> float:
+    """Greatest closest-point distance between the surface voxels of the
+    two masks, in physical units."""
+    return _hausdorff(*_surface_distances(a, b, spacing))
 
 
 def assd(a: BinaryMask, b: BinaryMask, spacing=None) -> float:
     """Average symmetric surface distance: pooled mean of closest-point
     distances between the two boundaries, in physical units."""
-    pa, pb = _boundary_points(a, b, spacing, surface_only=True)
-    d_ab, _ = cKDTree(pb).query(pa)
-    d_ba, _ = cKDTree(pa).query(pb)
-    return float((d_ab.sum() + d_ba.sum()) / (len(pa) + len(pb)))
+    return _assd(*_surface_distances(a, b, spacing))
 
 
 def compute_report(a: BinaryMask, b: BinaryMask, spacing=None) -> MetricsReport:
+    """All four metrics, with one pair of surface-distance queries shared
+    by the Hausdorff distance and the ASSD."""
+    d_ab, d_ba = _surface_distances(a, b, spacing)
     return MetricsReport(
         dice=dice(a, b),
         jaccard=jaccard(a, b),
-        hausdorff=hausdorff(a, b, spacing),
-        assd=assd(a, b, spacing),
+        hausdorff=_hausdorff(d_ab, d_ba),
+        assd=_assd(d_ab, d_ba),
     )

@@ -92,28 +92,18 @@ def reduce_components(mask: BinaryMask, seed: VoxelIndex) -> BinaryMask:
     return BinaryMask(out, mask.spacing)
 
 
-def _points(slice_mask):
-    return np.argwhere(slice_mask)
-
-
-def _tolerances(pts, prev_pts):
-    """Per-voxel tolerance: min in-plane distance to the previous slice's
-    set plus the fixed constant."""
-    if len(prev_pts) == 0:
-        return np.full(len(pts), TOLERANCE_CONSTANT)
-    tree = cKDTree(prev_pts)
-    dists, _ = tree.query(pts)
-    return dists + TOLERANCE_CONSTANT
-
-
 def clean_spurious(mask: BinaryMask, start_slice: int, direction: int = 1) -> BinaryMask:
     """Remove voxels that appear far from the previous slice's segmentation.
 
     The start slice and its predecessor (against the scan direction) are
-    assumed clean.  For each later slice, every voxel absent from the
-    previous slice is removed when its distance to the previous set exceeds
-    the tolerance of the nearest previous voxel.  Distances are in-plane
-    Euclidean in pixel units.
+    assumed clean.  Every voxel of a slice carries a tolerance: its
+    distance to the previous slice's set plus `TOLERANCE_CONSTANT`.  For
+    each later slice, one nearest-neighbour query against the previous
+    slice's kept voxels removes every voxel whose distance exceeds the
+    tolerance of its nearest previous voxel; the kept voxels' distances
+    give their own tolerances.  A voxel present in the previous slice is
+    at distance 0 and always kept.  Distances are in-plane Euclidean in
+    pixel units.  The scan stops after a slice that is empty or emptied.
     """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
@@ -121,31 +111,25 @@ def clean_spurious(mask: BinaryMask, start_slice: int, direction: int = 1) -> Bi
     nz = vals.shape[2]
     if not 0 <= start_slice < nz:
         raise PostprocessError(f"start slice {start_slice} out of range")
-    pts = _points(vals[:, :, start_slice])
+    pts = np.argwhere(vals[:, :, start_slice])
     if len(pts) == 0:
         raise PostprocessError(f"start slice {start_slice} is empty")
     prev_idx = start_slice - direction
-    prev_pts = _points(vals[:, :, prev_idx]) if 0 <= prev_idx < nz else np.empty((0, 2), int)
-    tol = _tolerances(pts, prev_pts)
+    tol = np.full(len(pts), TOLERANCE_CONSTANT)
+    if 0 <= prev_idx < nz and vals[:, :, prev_idx].any():
+        tol += cKDTree(np.argwhere(vals[:, :, prev_idx])).query(pts)[0]
 
     k = start_slice + direction
     while 0 <= k < nz:
-        prev_pts = pts
-        prev_tol = tol
         cur = vals[:, :, k]
-        pts = _points(cur)
-        if len(prev_pts) == 0 or len(pts) == 0:
+        cur_pts = np.argwhere(cur)
+        if len(pts) == 0 or len(cur_pts) == 0:
             break
-        prev_set = {(int(i), int(j)) for i, j in prev_pts}
-        tree = cKDTree(prev_pts)
-        for i, j in pts:
-            if (int(i), int(j)) in prev_set:
-                continue
-            dist, i_min = tree.query([i, j])
-            if dist > prev_tol[i_min]:
-                cur[i, j] = False
-        pts = _points(cur)
-        tol = _tolerances(pts, prev_pts)
+        dist, nearest = cKDTree(pts).query(cur_pts)
+        keep = dist <= tol[nearest]
+        cur[tuple(cur_pts[~keep].T)] = False
+        pts = cur_pts[keep]
+        tol = dist[keep] + TOLERANCE_CONSTANT
         k += direction
     return BinaryMask(vals, mask.spacing)
 

@@ -85,25 +85,6 @@ def init_levelset(dims, dx, seed: VoxelIndex, radius_voxels=5.0,
     return LevelSetField(ScalarVolume(v, spacing))
 
 
-def upwind_diffs(v, dx, at: VoxelIndex):
-    """One-sided differences (p-, p+, q-, q+, r-, r+) at a single voxel.
-    At a face the missing one-sided difference is replaced by the
-    available one."""
-    u = v.values if isinstance(v, ScalarVolume) else np.asarray(v)
-    idx = at.as_tuple()
-    c = u[idx]
-    out = []
-    for axis, n in enumerate(u.shape):
-        i = idx[axis]
-        p = u[idx[:axis] + (min(i + 1, n - 1),) + idx[axis + 1:]]
-        m = u[idx[:axis] + (max(i - 1, 0),) + idx[axis + 1:]]
-        if 0 < i < n - 1:
-            out += [float((c - m) / dx), float((p - c) / dx)]
-        else:
-            out += [float((p - m) / dx)] * 2
-    return tuple(out)
-
-
 def llf_hamiltonian(model: Model, g, grad_g, diffs, mu=1.0, eta=0.25):
     """Local Lax-Friedrichs numerical Hamiltonian (first-order part).
 
@@ -177,8 +158,8 @@ def curvature_3d(v, dx, delta=1e-8):
 def _face_diffs(c, row, on_face, dx):
     """The one-sided differences (p-, p+, q-, q+, r-, r+) from the centre
     values `c` and the face-neighbour rows `row(1)` to `row(6)` of the
-    `STENCIL`, as `upwind_diffs` takes them: on a face, where one neighbour
-    is the voxel itself, both are the one available difference."""
+    `STENCIL`: on a face, where one neighbour is the voxel itself, both
+    are the one available difference."""
     out = []
     for axis, f in enumerate(on_face):
         p, m = row(1 + 2 * axis), row(2 + 2 * axis)

@@ -70,12 +70,14 @@ def build_speed(preprocessed: ScalarVolume, tissue: BinaryMask, p: int = 2,
 
 
 def cfl_dt(speed: SpeedField, model: Model, mu: float = 1.0, eta: float = 0.25,
-           dx: float = 0.1, generalized: bool = False) -> float:
+           dx: float = 0.1) -> float:
     """Stable explicit time step for the given evolution model.
 
     Classical: dt = dx / (3*sup g).  First-order geodesic: dt = lambda*dx
-    with lambda = 1/(3*sup g + sum of gradient sup-norms); the `generalized`
-    variant weighs the terms by mu and eta instead.  Second-order geodesic:
+    with lambda the smaller of 1/(3*sup g + sum of gradient sup-norms) and
+    1/(3*mu*sup g + eta*sum of gradient sup-norms), the bound for the LLF
+    dissipation coefficients mu*g + eta*|d g/d axis|; the second is the
+    smaller only when mu or eta exceeds 1.  Second-order geodesic:
     parabolic bound dt = 0.25*dx^2.
     """
     if dx <= 0:
@@ -87,8 +89,5 @@ def cfl_dt(speed: SpeedField, model: Model, mu: float = 1.0, eta: float = 0.25,
     if model is Model.CLASSICAL:
         return dx / (3.0 * speed.sup_g)
     grad_sum = speed.sup_gx + speed.sup_gy + speed.sup_gz
-    if generalized:
-        lam = 1.0 / (3.0 * mu * speed.sup_g + eta * grad_sum)
-    else:
-        lam = 1.0 / (3.0 * speed.sup_g + grad_sum)
+    lam = 1.0 / max(3.0 * speed.sup_g + grad_sum, 3.0 * mu * speed.sup_g + eta * grad_sum)
     return lam * dx

@@ -181,6 +181,46 @@ def test_segment_worker_error_is_one_line(phantom_dir, tmp_path, capsys, monkeyp
     assert threading.enumerate() == before
 
 
+@pytest.mark.parametrize("weight", ["--mu", "--eta"])
+def test_segment_large_weight_keeps_time_step_stable(phantom_dir, tmp_path, weight):
+    # the two tubes are separate components of the active set, so only a
+    # time step above the weighted CFL bound can carry the left front into
+    # the right tube
+    out = tmp_path / "run"
+    assert main([
+        "segment", "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "gmfd1", "--nmax", "400", "--sigma", "1.75", weight, "4",
+        "--out", str(out),
+    ]) == 0
+    left = load_mask(out / "left.mask.json")
+    truth_right = load_mask(phantom_dir / "truth_right.json")
+    assert not (left.values & truth_right.values).any()
+
+
+def _write_header(phantom_dir, tmp_path, edit):
+    header = json.loads((phantom_dir / "volume.json").read_text())
+    (tmp_path / "volume.raw").write_bytes((phantom_dir / "volume.raw").read_bytes())
+    (tmp_path / "volume.json").write_text(edit(header))
+    return tmp_path / "volume.json"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: json.dumps(h)[:-5], "malformed header"),
+    (lambda h: json.dumps({k: v for k, v in h.items() if k != "dims"}), "missing field 'dims'"),
+    (lambda h: json.dumps({**h, "dims": [h["dims"][0] + 1] + h["dims"][1:]}), "expected"),
+], ids=["bad-json", "missing-field", "wrong-raw-size"])
+def test_segment_malformed_header_is_one_line(phantom_dir, tmp_path, capsys, edit, message):
+    rc = main([
+        "segment", "--input", str(_write_header(phantom_dir, tmp_path, edit)),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "gmfd1", "--nmax", "5", "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+
+
 def test_segment_seed_off_grid(phantom_dir, tmp_path, capsys):
     rc = main([
         "segment", "--input", str(phantom_dir / "volume.json"),

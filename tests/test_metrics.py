@@ -209,3 +209,22 @@ def test_report_json_round_trip():
     doc = json.loads(report.to_json())
     assert set(doc) == {"dice", "jaccard", "hausdorff", "assd"}
     assert doc["dice"] == 1.0 and doc["hausdorff"] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), spacing=st.sampled_from([None, (1.0, 2.0, 0.5)]))
+def test_report_equals_each_metric_and_brute_force(seed, spacing):
+    # without `spacing` the masks' own (anisotropic) spacing applies
+    a, b = _random_pair(seed, max_n=7)
+    if a.count() == 0 or b.count() == 0:
+        return
+    a, b = _mask(a.values, (0.5, 1.0, 3.0)), _mask(b.values, (0.5, 1.0, 3.0))
+    report = compute_report(a, b, spacing)
+    assert report.dice == dice(a, b)
+    assert report.jaccard == jaccard(a, b)
+    assert report.hausdorff == hausdorff(a, b, spacing)
+    assert report.assd == assd(a, b, spacing)
+    want_h, want_assd = _brute_hausdorff(_brute_surface(a.values), _brute_surface(b.values),
+                                         np.asarray(spacing or a.spacing))
+    assert report.hausdorff == pytest.approx(want_h, abs=1e-12)
+    assert report.assd == pytest.approx(want_assd, abs=1e-12)

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.spatial import cKDTree
+
 from levelseg.postprocess import (
+    TOLERANCE_CONSTANT,
     PostprocessError,
     clean_spurious,
     label_components_2d,
@@ -224,6 +227,70 @@ def test_clean_start_slice_validation():
         clean_spurious(_mask(vals), start_slice=9)
     with pytest.raises(ValueError):
         clean_spurious(_mask(vals), start_slice=1, direction=2)
+
+
+def _clean_spurious_per_voxel(mask, start_slice, direction=1):
+    """Reference: the tolerance rule voxel by voxel, skipping voxels that
+    are in the previous slice and querying a second tree for the next
+    slice's tolerances."""
+    def tolerances(pts, prev_pts):
+        if len(prev_pts) == 0:
+            return np.full(len(pts), TOLERANCE_CONSTANT)
+        return cKDTree(prev_pts).query(pts)[0] + TOLERANCE_CONSTANT
+
+    vals = mask.values.copy()
+    nz = vals.shape[2]
+    pts = np.argwhere(vals[:, :, start_slice])
+    prev_idx = start_slice - direction
+    prev_pts = np.argwhere(vals[:, :, prev_idx]) if 0 <= prev_idx < nz else np.empty((0, 2), int)
+    tol = tolerances(pts, prev_pts)
+    k = start_slice + direction
+    while 0 <= k < nz:
+        prev_pts, prev_tol = pts, tol
+        cur = vals[:, :, k]
+        pts = np.argwhere(cur)
+        if len(prev_pts) == 0 or len(pts) == 0:
+            break
+        prev_set = {(int(i), int(j)) for i, j in prev_pts}
+        tree = cKDTree(prev_pts)
+        for i, j in pts:
+            if (int(i), int(j)) in prev_set:
+                continue
+            dist, i_min = tree.query([i, j])
+            if dist > prev_tol[i_min]:
+                cur[i, j] = False
+        pts = np.argwhere(cur)
+        tol = tolerances(pts, prev_pts)
+        k += direction
+    return BinaryMask(vals, mask.spacing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), direction=st.sampled_from([1, -1]),
+       start=st.sampled_from(["low end", "high end", "inside"]), empty_prev=st.booleans())
+def test_clean_equals_per_voxel_reference(seed, direction, start, empty_prev):
+    # a disk that drifts and changes size from slice to slice, plus noise:
+    # voxels are kept and removed at a range of distances and tolerances,
+    # and some slices lose every voxel or are empty
+    rng = np.random.default_rng(seed)
+    nx, ny = rng.integers(3, 20, size=2)
+    nz = int(rng.integers(3, 10))
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    ci, cj, r = rng.uniform(0, nx), rng.uniform(0, ny), rng.uniform(0.5, 4)
+    vals = rng.random((nx, ny, nz)) < rng.uniform(0.0, 0.3)
+    for k in range(nz):
+        ci, cj = ci + rng.normal(0, 1.5), cj + rng.normal(0, 1.5)
+        r = max(0.5, r + rng.normal(0, 1))
+        vals[:, :, k] |= (ii - ci) ** 2 + (jj - cj) ** 2 <= r * r
+    if rng.random() < 0.3:
+        vals[:, :, rng.integers(nz)] = False
+    k0 = {"low end": 0, "high end": nz - 1, "inside": int(rng.integers(1, nz - 1))}[start]
+    if empty_prev and 0 <= k0 - direction < nz:
+        vals[:, :, k0 - direction] = False
+    vals[rng.integers(nx), rng.integers(ny), k0] = True
+    mask = _mask(vals)
+    want = _clean_spurious_per_voxel(mask, k0, direction)
+    assert np.array_equal(clean_spurious(mask, k0, direction).values, want.values)
 
 
 # -------------------------------------------------------------- postprocess

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelseg import solver
+from levelseg.metrics import dice
 from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
+from levelseg.postprocess import postprocess
 from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
 from levelseg.solver import (
     BlowupError,
@@ -24,7 +26,6 @@ from levelseg.solver import (
     init_levelset,
     llf_hamiltonian,
     step,
-    upwind_diffs,
 )
 from levelseg.speed import Model, SpeedField, build_speed, cfl_dt
 from levelseg.volumes import ScalarVolume, VoxelIndex
@@ -83,51 +84,6 @@ def test_init_mask_is_discrete_ball():
     ii, jj, kk = np.meshgrid(*[np.arange(25)] * 3, indexing="ij")
     ball = (ii - 12) ** 2 + (jj - 12) ** 2 + (kk - 12) ** 2 < 25.0
     assert np.array_equal(mask.values, ball)
-
-
-# ------------------------------------------------------------ upwind_diffs
-
-def test_upwind_linear_field():
-    ii = np.arange(8)[:, None, None] * np.ones((1, 8, 8))
-    c = 4.0
-    pm, pp, qm, qp, rm, rp = upwind_diffs(c * DX * ii, DX, VoxelIndex(4, 4, 4))
-    assert pm == pytest.approx(c)
-    assert pp == pytest.approx(c)
-    assert qm == qp == rm == rp == 0.0
-
-
-def test_upwind_kink():
-    ii = np.arange(9)[:, None, None] * np.ones((1, 9, 9))
-    u = np.abs(ii - 4) * DX
-    pm, pp, *_ = upwind_diffs(u, DX, VoxelIndex(4, 4, 4))
-    assert pm == pytest.approx(-1.0)
-    assert pp == pytest.approx(1.0)
-
-
-def test_upwind_random_index_oracle():
-    rng = np.random.default_rng(17)
-    u = rng.standard_normal((6, 7, 8))
-    for _ in range(50):
-        i, j, k = rng.integers(1, 5), rng.integers(1, 6), rng.integers(1, 7)
-        got = upwind_diffs(u, DX, VoxelIndex(i, j, k))
-        want = (
-            (u[i, j, k] - u[i - 1, j, k]) / DX,
-            (u[i + 1, j, k] - u[i, j, k]) / DX,
-            (u[i, j, k] - u[i, j - 1, k]) / DX,
-            (u[i, j + 1, k] - u[i, j, k]) / DX,
-            (u[i, j, k] - u[i, j, k - 1]) / DX,
-            (u[i, j, k + 1] - u[i, j, k]) / DX,
-        )
-        assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_upwind_face_replication():
-    rng = np.random.default_rng(18)
-    u = rng.standard_normal((5, 5, 5))
-    pm, pp, *_ = upwind_diffs(u, DX, VoxelIndex(0, 2, 2))
-    assert pm == pytest.approx(pp)  # missing backward difference replicated
-    *_, rm, rp = upwind_diffs(u, DX, VoxelIndex(2, 2, 4))
-    assert rp == pytest.approx(rm)
 
 
 # --------------------------------------------------------- llf_hamiltonian
@@ -660,6 +616,33 @@ def test_evolve_seeds_stops_the_other_loop_on_error(monkeypatch):
         evolve_seeds(_uniform_phantom(), cfg, [VoxelIndex(12, 12, 12), VoxelIndex(11, 12, 12)])
     assert threading.active_count() == before
     assert calls[threading.main_thread().name] < 5000
+
+
+# Left tube of the hard phantom at the suite budgets: (raw, postprocessed)
+# Dice floors about 0.002 below the measured 0.8368/0.8776 (classical),
+# 0.7725/0.7991 (gmfd1) and 0.7515/0.7970 (gmfd2).  No release criterion
+# gates the hard phantom's Dice (the left tube shares its component of the
+# active set with a distractor); the floors keep a change from lowering it
+# unnoticed.
+HARD_LEFT_DICE_FLOORS = {
+    Model.CLASSICAL: (0.835, 0.875),
+    Model.GEODESIC1: (0.770, 0.797),
+    Model.GEODESIC2: (0.749, 0.795),
+}
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_hard_phantom_left_dice_floors(model):
+    spec = suite_spec("hard")
+    raw, truth, _ = generate_phantom(spec)
+    params = SUITE_PARAMS["hard"]
+    n_max = params["n_max_second_order"] if model is Model.GEODESIC2 else params["n_max"]
+    seed = tube_seed(spec, "left")
+    result = evolve(raw, SolverConfig(model=model, seed=seed, n_max=n_max),
+                    PreprocessConfig(sigma=params["sigma"]))
+    raw_floor, cleaned_floor = HARD_LEFT_DICE_FLOORS[model]
+    assert dice(result.mask, truth) >= raw_floor
+    assert dice(postprocess(result.mask, seed), truth) >= cleaned_floor
 
 
 def test_solver_config_validation():

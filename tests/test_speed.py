@@ -135,25 +135,31 @@ def test_cfl_degenerate():
         cfl_dt(sp, Model.CLASSICAL)
 
 
-def test_cfl_generalized_reduces_at_unit_mu():
-    rng = np.random.default_rng(9)
-    sp = build_speed(_vol(rng.uniform(0, 1, size=(6, 6, 6))), _all_tissue((6, 6, 6)), 2, DX)
-    printed = cfl_dt(sp, Model.GEODESIC1, mu=1.0, eta=0.25)
-    general = cfl_dt(sp, Model.GEODESIC1, mu=1.0, eta=1.0, generalized=True)
-    assert printed == pytest.approx(general)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31), mu=st.floats(0.1, 1.0), eta=st.floats(0.1, 1.0))
+def test_cfl_standard_bound_at_unit_weights(seed, mu, eta):
+    # for mu <= 1 and eta <= 1 the unweighted bound is the smaller, so the
+    # step is bitwise the unweighted one
+    rng = np.random.default_rng(seed)
+    sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 6, 6))), _all_tissue((6, 6, 6)), 2, DX)
+    standard = (1.0 / (3.0 * sp.sup_g + (sp.sup_gx + sp.sup_gy + sp.sup_gz))) * DX
+    assert cfl_dt(sp, Model.GEODESIC1, mu=mu, eta=eta, dx=DX) == standard
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31),
-       model=st.sampled_from([Model.CLASSICAL, Model.GEODESIC1]))
-def test_cfl_monotone_bound(seed, model):
-    # (dt/dx) * (alpha_x + alpha_y + alpha_z) <= 1 with the per-axis
-    # dissipation coefficients at their sup values
+       model=st.sampled_from([Model.CLASSICAL, Model.GEODESIC1]),
+       mu=st.floats(0.1, 10.0), eta=st.floats(0.1, 10.0))
+def test_cfl_monotone_bound(seed, model, mu, eta):
+    # (dt/dx) * (alpha_x + alpha_y + alpha_z) <= 1 at every voxel, with the
+    # LLF dissipation coefficients: g per axis for the classical model,
+    # mu*g + eta*|d g/d axis| for the geodesic one
     rng = np.random.default_rng(seed)
     sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 6, 6))), _all_tissue((6, 6, 6)), 2, DX)
-    dt = cfl_dt(sp, model, mu=1.0, eta=0.25, dx=DX)
+    dt = cfl_dt(sp, model, mu=mu, eta=eta, dx=DX)
+    g = sp.g.values
     if model is Model.CLASSICAL:
-        alpha_sum = 3.0 * sp.sup_g
+        alpha_sum = 3.0 * g
     else:
-        alpha_sum = 3.0 * sp.sup_g + sp.sup_gx + sp.sup_gy + sp.sup_gz
-    assert (dt / DX) * alpha_sum <= 1.0 + 1e-12
+        alpha_sum = 3.0 * mu * g + eta * sum(np.abs(c.values) for c in sp.grad_g)
+    assert (dt / DX) * alpha_sum.max() <= 1.0 + 1e-12
