@@ -100,6 +100,7 @@ def cmd_segment(args) -> int:
             "iterations": result.iterations,
             "seconds": result.seconds,
             "dt": result.dt,
+            "active_voxels": result.active_voxels,
             "voxels": mask.count(),
         }
         _log(f"{side}: {result.iterations} iterations, {result.seconds:.2f}s, "

@@ -61,6 +61,7 @@ class EvolutionResult:
     iterations: int
     seconds: float
     dt: float
+    active_voxels: int  # the voxels the loop stepped
 
 
 def _check_margin(dims, seed: VoxelIndex, radius_voxels):
@@ -169,12 +170,17 @@ def _face_diffs(c, row, on_face, dx):
     return out
 
 
+# an overflow or invalid operation leaves a non-finite value, which the
+# finite check turns into a BlowupError: numpy's warnings would only precede
+# that error.  The error state is per thread and per context.
+@np.errstate(all="ignore")
 def step(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float) -> LevelSetField:
     """One explicit update, returned as a new field; `fld` is left as it is.
 
-    The update is evaluated on the speed field's active set `act` only.
-    Every other voxel has g = 0 and grad g = 0, where the update is exactly
-    zero (see `levelseg.active`), so its value is copied unchanged.
+    The update is evaluated on the voxels of `act` only: the speed field's
+    active set, or the components of it that a seed reaches.  Every other
+    voxel's value is copied unchanged; outside the active set the update
+    is exactly zero (see `levelseg.active`).
     """
     u = fld.volume.values
     if cfg.model is Model.GEODESIC2:
@@ -216,9 +222,12 @@ def extract_mask(fld: LevelSetField) -> BinaryMask:
 
 
 def _prepare(raw_vol: ScalarVolume, cfg: SolverConfig, seeds, pre_cfg):
-    """Check every seed, preprocess and build the speed field; return its
-    active set, with the step's tables built, and the time step.  The
-    full-grid image, tissue mask, g and grad g are freed on return."""
+    """Check every seed, preprocess and build the speed field; return the
+    time step and, per seed, its initial field and the components of the
+    active set that field reaches, with the step's table built.  The
+    full-grid image, tissue mask, g, grad g and component labels and the
+    whole active set are freed on return; seeds that reach the same
+    components share one set."""
     if not seeds or None in seeds:
         raise SeedError("no seed given")
     for seed in seeds:
@@ -230,19 +239,28 @@ def _prepare(raw_vol: ScalarVolume, cfg: SolverConfig, seeds, pre_cfg):
             raise SeedError(f"seed {seed.as_tuple()} lies outside the tissue mask")
         _check_margin(raw_vol.dims, seed, cfg.seed_radius_voxels)
     speed = build_speed(image, tissue, cfg.p, cfg.dx)
+    del image, tissue
     dt = cfl_dt(speed, cfg.model, cfg.mu, cfg.eta, cfg.dx)
-    act = speed.active
-    # the step's table is a cached property: build it before threads share it
-    getattr(act, "stencil" if cfg.model is Model.GEODESIC2 else "faces")
-    return act, dt
+    whole = speed.active
+    del speed
+    labels = whole.components()
+    table = "stencil" if cfg.model is Model.GEODESIC2 else "faces"
+    sets, runs = {}, []
+    for seed in seeds:
+        fld = init_levelset(raw_vol.dims, cfg.dx, seed, cfg.seed_radius_voxels,
+                            raw_vol.spacing)
+        act = whole.reached(labels, fld.volume.values < 0)
+        act = sets.setdefault(act.index.tobytes(), act)
+        # the table is a cached property: build it before threads share it
+        getattr(act, table)
+        runs.append((fld, act))
+    return runs, dt
 
 
-def _evolve_one(raw_vol: ScalarVolume, act: ActiveSet, cfg: SolverConfig, dt: float,
+def _evolve_one(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float,
                 abort: threading.Event) -> EvolutionResult:
-    """Initialize a sphere at `cfg.seed` and run up to n_max explicit
-    steps, or stop early once `abort` is set."""
-    fld = init_levelset(raw_vol.dims, cfg.dx, cfg.seed, cfg.seed_radius_voxels,
-                        raw_vol.spacing)
+    """Run up to n_max explicit steps from `fld` on `act`, or stop early
+    once `abort` is set."""
     start = time.perf_counter()
     prev_mask = None
     stagnant = 0
@@ -251,8 +269,8 @@ def _evolve_one(raw_vol: ScalarVolume, act: ActiveSet, cfg: SolverConfig, dt: fl
             break
         fld = step(fld, act, cfg, dt)
         if cfg.early_stop == "stagnation":
-            # u never changes outside the active set, so the signs inside
-            # it tell whether the mask moved
+            # u never changes outside `act`, so the signs inside it tell
+            # whether the mask moved
             mask = fld.volume.values.take(act.index) < 0
             if prev_mask is not None and np.array_equal(mask, prev_mask):
                 stagnant += 1
@@ -262,7 +280,7 @@ def _evolve_one(raw_vol: ScalarVolume, act: ActiveSet, cfg: SolverConfig, dt: fl
                 stagnant = 0
             prev_mask = mask
     elapsed = time.perf_counter() - start
-    return EvolutionResult(extract_mask(fld), fld.n, elapsed, dt)
+    return EvolutionResult(extract_mask(fld), fld.n, elapsed, dt, act.index.size)
 
 
 def evolve_seeds(raw_vol: ScalarVolume, cfg: SolverConfig, seeds,
@@ -272,26 +290,30 @@ def evolve_seeds(raw_vol: ScalarVolume, cfg: SolverConfig, seeds,
 
     Every seed is checked before any work starts.  The volume is
     preprocessed (with `PreprocessConfig()` when `pre_cfg` is None) and
-    the speed field built once; then the first seed's loop runs on the
-    calling thread and each further seed's on a worker thread, all sharing
-    the read-only active set.  numpy releases the GIL inside its array
-    loops, so the loops overlap.  When a loop raises, the others stop at
-    their next step and the exception propagates.
+    the speed field built once.  Each seed is then stepped only on the
+    18-connected components of the active set that its initial sphere
+    reaches (see `levelseg.active` for why the masks are unchanged).  The
+    first seed's loop runs on the calling thread and each further seed's
+    on a worker thread, each reading its own set, or one it shares
+    read-only with seeds that reach the same components.  numpy releases
+    the GIL inside its array loops, so the loops overlap.  When a loop
+    raises, the others stop at their next step and the exception
+    propagates.
     """
     seeds = list(seeds)
-    act, dt = _prepare(raw_vol, cfg, seeds, pre_cfg)
+    runs, dt = _prepare(raw_vol, cfg, seeds, pre_cfg)
     abort = threading.Event()
 
-    def run(seed):
+    def run(seed, fld, act):
         try:
-            return _evolve_one(raw_vol, act, replace(cfg, seed=seed), dt, abort)
+            return _evolve_one(fld, act, replace(cfg, seed=seed), dt, abort)
         except BaseException:
             abort.set()
             raise
 
     with ThreadPoolExecutor(max_workers=max(len(seeds) - 1, 1)) as pool:
-        rest = [pool.submit(run, seed) for seed in seeds[1:]]
-        first = run(seeds[0])
+        rest = [pool.submit(run, seed, *r) for seed, r in zip(seeds[1:], runs[1:])]
+        first = run(seeds[0], *runs[0])
         return [first] + [future.result() for future in rest]
 
 

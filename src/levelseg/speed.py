@@ -34,7 +34,7 @@ class SpeedField:
     def active(self) -> ActiveSet:
         """Where the update can move the front, with the step's neighbour
         tables: built at the first step and kept for the field's life."""
-        return ActiveSet(self.g.values, tuple(c.values for c in self.grad_g))
+        return ActiveSet.of_speed(self.g.values, tuple(c.values for c in self.grad_g))
 
 
 def gradient_centered(vol: ScalarVolume, dx: float):

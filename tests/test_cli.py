@@ -1,14 +1,21 @@
 """End-to-end command-line interface checks."""
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from levelseg import solver
 from levelseg.cli import main
 from levelseg.metrics import dice
 from levelseg.phantom import SUITE_PARAMS
+from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
+from levelseg.speed import build_speed
 from levelseg.volumes import load_mask, load_volume
 
 
@@ -71,6 +78,17 @@ def test_segment_end_to_end(phantom_dir, tmp_path, capsys):
 
     timing = json.loads((out / "timing.json").read_text())
     assert timing["sides"]["left"]["iterations"] == 250
+    # each side steps the 18-connected component of the active set that
+    # holds its seed; the two tubes' components make up the whole set
+    image, tissue = preprocess_pipeline(load_volume(phantom_dir / "volume.json"),
+                                        PreprocessConfig(sigma=1.75))
+    sp = build_speed(image, tissue)
+    active = (sp.g.values != 0) | np.any([c.values != 0 for c in sp.grad_g], axis=0)
+    labels, count = ndimage.label(active, ndimage.generate_binary_structure(3, 2))
+    assert count == 2
+    for side, seed in (("left", (22, 40, 20)), ("right", (57, 40, 20))):
+        assert timing["sides"][side]["active_voxels"] == (labels == labels[seed]).sum()
+    assert sum(v["active_voxels"] for v in timing["sides"].values()) == active.sum()
     merged = load_mask(out / "merged.mask.json")
     right = load_mask(out / "right.mask.json")
     assert np.array_equal(merged.values, left.values | right.values)
@@ -179,6 +197,24 @@ def test_segment_worker_error_is_one_line(phantom_dir, tmp_path, capsys, monkeyp
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: numerical blow-up at iteration 1"]
     assert threading.enumerate() == before
+
+
+def test_segment_blowup_is_one_line_without_warnings(phantom_dir, tmp_path):
+    # a huge curvature weight makes gmfd2 overflow; numpy's warnings must
+    # not precede the one error line
+    env = {**os.environ, "PYTHONPATH": str(Path(solver.__file__).parents[1])}
+    proc = subprocess.run([
+        sys.executable, "-W", "default", "-m", "levelseg.cli", "segment",
+        "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "gmfd2", "--epsilon", "1e6", "--nmax", "50",
+        "--out", str(tmp_path / "x"),
+    ], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr, proc.stderr
+    err = proc.stderr.splitlines()
+    assert [line for line in err if line.startswith("error:")] == err[-1:], err
+    assert err[-1] == "error: numerical blow-up at iteration 18"
 
 
 @pytest.mark.parametrize("weight", ["--mu", "--eta"])
