@@ -24,7 +24,7 @@ TARGET = 0.90
 
 
 def profile(model, raw, speed, seed, truth, n_max, check_every=10):
-    cfg = SolverConfig(model=model, seed=seed)
+    cfg = SolverConfig(model=model)
     fld = init_levelset(raw.dims, DX, seed, 5.0)
     dt = cfl_dt(speed, model, dx=DX)
     crossing = None

@@ -24,7 +24,7 @@ from .solver import (
     llf_hamiltonian,
     step,
 )
-from .speed import Model, SpeedField, build_speed, cfl_dt, gradient_centered
+from .speed import Model, SpeedField, build_speed, cfl_dt
 from .volumes import (
     BinaryMask,
     ScalarVolume,

@@ -25,7 +25,7 @@ from .phantom import (
 )
 from .postprocess import PostprocessError, postprocess
 from .preprocess import PreprocessConfig
-from .solver import BlowupError, SeedError, SolverConfig, evolve_seeds
+from .solver import BlowupError, SeedError, SolverConfig, evolve
 from .speed import DegenerateSpeedError, Model
 from .volumes import BinaryMask, VolumeError, VoxelIndex, load_mask, load_volume, store_volume
 
@@ -84,7 +84,7 @@ def cmd_segment(args) -> int:
     timing = {"model": args.model, "n_max": args.nmax, "sides": {}}
     merged = np.zeros(raw.dims, dtype=bool)
     seeds = [VoxelIndex(*args.seed_left), VoxelIndex(*args.seed_right)]
-    results = evolve_seeds(raw, cfg, seeds, pre_cfg)
+    results = evolve(raw, cfg, seeds, pre_cfg)
     for side, seed, result in zip(("left", "right"), seeds, results):
         mask = result.mask
         if args.postprocess:
@@ -107,7 +107,6 @@ def cmd_segment(args) -> int:
              f"dt={result.dt:.6g}, {mask.count()} voxels")
     store_volume(BinaryMask(merged, raw.spacing), out / "merged.mask.json")
     solver = {**asdict(cfg), "model": cfg.model.value}
-    del solver["seed"]
     manifest = {"input": args.input, "out": args.out,
                 "seed_left": args.seed_left, "seed_right": args.seed_right,
                 **solver, **asdict(pre_cfg),
@@ -128,7 +127,7 @@ def cmd_metrics(args) -> int:
 def cmd_bench(args) -> int:
     """One row per (phantom, model); `n_max` is the budget of one side,
     `iters` totals both sides and `wall_s` is the elapsed time of
-    `evolve_seeds` on the pair, whose two loops run at once."""
+    `evolve` on the pair, whose two loops run at once."""
     specs = default_suite()
     if args.phantom:
         specs = [s for s in specs if s.name == args.phantom]
@@ -149,8 +148,8 @@ def cmd_bench(args) -> int:
                      else params["n_max"])
             seeds = [tube_seed(spec, "left"), tube_seed(spec, "right")]
             start = time.perf_counter()
-            left, right = evolve_seeds(raw, SolverConfig(model=model, n_max=n_max),
-                                       seeds, pre_cfg)
+            left, right = evolve(raw, SolverConfig(model=model, n_max=n_max),
+                                 seeds, pre_cfg)
             wall = time.perf_counter() - start
             print(f"{spec.name:<8} {model.value:<10} {n_max:>6} "
                   f"{left.iterations + right.iterations:>6} {wall:>8.2f} "

@@ -7,7 +7,7 @@ import copy
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class SolverConfig:
     p: int = 2
     dx: float = 0.1
     n_max: int = 400
-    seed: VoxelIndex = None
     seed_radius_voxels: float = 5.0
     curvature_delta: float = 1e-8
     early_stop: str = "off"  # "off" | "stagnation"
@@ -115,13 +114,11 @@ def llf_hamiltonian(model: Model, g, grad_g, diffs, mu=1.0, eta=0.25):
 def curvature_3d(v, dx, delta=1e-8):
     """Mean-curvature term div(Dv/|Dv|) by centered differences.
 
-    `v` is a 3-D field, whose faces are handled by edge replication, or a
+    `v` is a 3-D array, whose faces are handled by edge replication, or a
     (19, N) array of a field's values at the `STENCIL` neighbours of N
     voxels, as `step` gathers them.  The denominator is regularized by
     `delta` where |Dv| vanishes.
     """
-    if isinstance(v, ScalarVolume):
-        return ScalarVolume(curvature_3d(v.values, dx, delta), v.spacing)
     nb = np.asarray(v, dtype=np.float64)
     if nb.ndim == 3:
         w = np.pad(nb, 1, mode="edge")
@@ -283,10 +280,11 @@ def _evolve_one(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float
     return EvolutionResult(extract_mask(fld), fld.n, elapsed, dt, act.index.size)
 
 
-def evolve_seeds(raw_vol: ScalarVolume, cfg: SolverConfig, seeds,
-                 pre_cfg: PreprocessConfig = None) -> list:
-    """Segment one region per seed, with `cfg` for every seed (its own
-    `seed` is ignored); return one `EvolutionResult` per seed, in order.
+def evolve(raw_vol: ScalarVolume, cfg: SolverConfig, seeds,
+           pre_cfg: PreprocessConfig = None) -> list[EvolutionResult]:
+    """Segment one region of `raw_vol` per `VoxelIndex` in `seeds`, with
+    `cfg` for every seed; return one `EvolutionResult` per seed, in order.
+    A run of one seed passes a list of one.
 
     Every seed is checked before any work starts.  The volume is
     preprocessed (with `PreprocessConfig()` when `pre_cfg` is None) and
@@ -304,20 +302,14 @@ def evolve_seeds(raw_vol: ScalarVolume, cfg: SolverConfig, seeds,
     runs, dt = _prepare(raw_vol, cfg, seeds, pre_cfg)
     abort = threading.Event()
 
-    def run(seed, fld, act):
+    def run(fld, act):
         try:
-            return _evolve_one(fld, act, replace(cfg, seed=seed), dt, abort)
+            return _evolve_one(fld, act, cfg, dt, abort)
         except BaseException:
             abort.set()
             raise
 
     with ThreadPoolExecutor(max_workers=max(len(seeds) - 1, 1)) as pool:
-        rest = [pool.submit(run, seed, *r) for seed, r in zip(seeds[1:], runs[1:])]
-        first = run(seeds[0], *runs[0])
+        rest = [pool.submit(run, *r) for r in runs[1:]]
+        first = run(*runs[0])
         return [first] + [future.result() for future in rest]
-
-
-def evolve(raw_vol: ScalarVolume, cfg: SolverConfig,
-           pre_cfg: PreprocessConfig = None) -> EvolutionResult:
-    """Full single-seed pipeline: `evolve_seeds` with `cfg.seed` alone."""
-    return evolve_seeds(raw_vol, cfg, [cfg.seed], pre_cfg)[0]

@@ -68,9 +68,6 @@ class ScalarVolume:
     def dims(self):
         return self.values.shape
 
-    def at(self, idx: VoxelIndex):
-        return self.values[idx.i, idx.j, idx.k]
-
 
 @dataclass
 class BinaryMask:

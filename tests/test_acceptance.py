@@ -40,17 +40,8 @@ def _report(record, name, ok, detail):
 
 
 def _speed_from_g(g_arr, dx=DX):
-    g = ScalarVolume(np.asarray(g_arr, dtype=float))
-    gx, gy, gz = np.gradient(g.values, dx)
-    sp = g.spacing
-    return SpeedField(
-        g,
-        (ScalarVolume(gx, sp), ScalarVolume(gy, sp), ScalarVolume(gz, sp)),
-        float(np.abs(g.values).max()),
-        float(np.abs(gx).max()),
-        float(np.abs(gy).max()),
-        float(np.abs(gz).max()),
-    )
+    g = np.asarray(g_arr, dtype=float)
+    return SpeedField(g, tuple(np.gradient(g, dx)))
 
 
 # 1 -----------------------------------------------------------------------
@@ -91,7 +82,7 @@ def test_criterion_monotonicity(record_criterion):
     worst = 0.0
     for model in (Model.CLASSICAL, Model.GEODESIC1):
         sp = _speed_from_g(rng.uniform(0.2, 1.0, size=dims))
-        cfg = SolverConfig(model=model, seed=VoxelIndex(4, 4, 4))
+        cfg = SolverConfig(model=model)
         dt = cfl_dt(sp, model, dx=DX)
         for _ in range(10):
             u = rng.standard_normal(dims) * 0.1
@@ -123,7 +114,7 @@ def test_criterion_eikonal_expansion(record_criterion):
     dims = (64, 64, 64)
     seed = VoxelIndex(31, 31, 31)
     sp = _speed_from_g(np.ones(dims))
-    cfg = SolverConfig(model=Model.CLASSICAL, seed=seed)
+    cfg = SolverConfig(model=Model.CLASSICAL)
     # any dt at or below the CFL bound is admissible; a quarter keeps the
     # front well inside the 64^3 domain over 100 steps (the full bound
     # would push the radius past the boundary) and limits the accumulated
@@ -181,8 +172,8 @@ def test_criterion_second_order_epsilon_zero(record_criterion):
         u = rng.standard_normal(dims)
         fld = LevelSetField(ScalarVolume(u))
         dt = 0.0025
-        cfg1 = SolverConfig(model=Model.GEODESIC1, seed=VoxelIndex(8, 8, 8))
-        cfg2 = SolverConfig(model=Model.GEODESIC2, epsilon=0.0, seed=VoxelIndex(8, 8, 8))
+        cfg1 = SolverConfig(model=Model.GEODESIC1)
+        cfg2 = SolverConfig(model=Model.GEODESIC2, epsilon=0.0)
         a = step(fld, sp.active, cfg1, dt).volume.values
         b = step(fld, sp.active, cfg2, dt).volume.values
         worst = max(worst, float(np.abs(a - b).max()))
@@ -198,8 +189,8 @@ def _run_side(raw, spec_name, model, side, spec):
     params = SUITE_PARAMS[spec_name]
     n_max = (params["n_max_second_order"] if model is Model.GEODESIC2
              else params["n_max"])
-    cfg = SolverConfig(model=model, seed=tube_seed(spec, side), n_max=n_max)
-    return evolve(raw, cfg, PreprocessConfig(sigma=params["sigma"]))
+    cfg = SolverConfig(model=model, n_max=n_max)
+    return evolve(raw, cfg, [tube_seed(spec, side)], PreprocessConfig(sigma=params["sigma"]))[0]
 
 
 def test_criterion_phantom_end_to_end(record_criterion):
@@ -265,7 +256,7 @@ def test_criterion_cost_gap(record_criterion):
     speed = build_speed(image, tissue, 2, DX)
 
     def iterations_to_dice(model, n_cap, target=0.90):
-        cfg = SolverConfig(model=model, seed=seed)
+        cfg = SolverConfig(model=model)
         fld = init_levelset(raw.dims, DX, seed, 5.0)
         dt = cfl_dt(speed, model, dx=DX)
         t0 = time.perf_counter()

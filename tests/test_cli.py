@@ -83,7 +83,7 @@ def test_segment_end_to_end(phantom_dir, tmp_path, capsys):
     image, tissue = preprocess_pipeline(load_volume(phantom_dir / "volume.json"),
                                         PreprocessConfig(sigma=1.75))
     sp = build_speed(image, tissue)
-    active = (sp.g.values != 0) | np.any([c.values != 0 for c in sp.grad_g], axis=0)
+    active = (sp.g != 0) | np.any([c != 0 for c in sp.grad_g], axis=0)
     labels, count = ndimage.label(active, ndimage.generate_binary_structure(3, 2))
     assert count == 2
     for side, seed in (("left", (22, 40, 20)), ("right", (57, 40, 20))):

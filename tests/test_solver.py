@@ -3,14 +3,15 @@ Hamiltonian, curvature and the explicit evolution loop."""
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from levelseg import solver
+from levelseg.active import CONNECTIVITY
 from levelseg.metrics import dice
 from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
 from levelseg.postprocess import postprocess
@@ -22,7 +23,6 @@ from levelseg.solver import (
     SolverConfig,
     curvature_3d,
     evolve,
-    evolve_seeds,
     extract_mask,
     init_levelset,
     llf_hamiltonian,
@@ -35,17 +35,8 @@ DX = 0.1
 
 
 def _speed_from_g(g_arr, dx=DX):
-    g = ScalarVolume(np.asarray(g_arr, dtype=float))
-    gx, gy, gz = np.gradient(g.values, dx)
-    sp = g.spacing
-    return SpeedField(
-        g,
-        (ScalarVolume(gx, sp), ScalarVolume(gy, sp), ScalarVolume(gz, sp)),
-        float(np.abs(g.values).max()),
-        float(np.abs(gx).max()),
-        float(np.abs(gy).max()),
-        float(np.abs(gz).max()),
-    )
+    g = np.asarray(g_arr, dtype=float)
+    return SpeedField(g, tuple(np.gradient(g, dx)))
 
 
 def _unit_speed(dims):
@@ -196,7 +187,7 @@ def test_step_zero_speed_is_noop():
     sp = _speed_from_g(np.zeros(dims))
     assert sp.active.index.size == 0
     for model in Model:
-        cfg = SolverConfig(model=model, seed=VoxelIndex(7, 7, 7))
+        cfg = SolverConfig(model=model)
         out = step(fld, sp.active, cfg, 0.01)
         assert np.array_equal(out.volume.values, fld.volume.values)
         assert out.n == fld.n + 1
@@ -209,7 +200,7 @@ def test_step_eikonal_expansion_short():
     seed = VoxelIndex(16, 16, 16)
     fld = init_levelset(dims, DX, seed, 5.0)
     sp = _unit_speed(dims)
-    cfg = SolverConfig(model=Model.CLASSICAL, seed=seed)
+    cfg = SolverConfig(model=Model.CLASSICAL)
     dt = DX / 3.0
     n = 20
     for _ in range(n):
@@ -230,7 +221,7 @@ def test_step_classical_nonincreasing_away_from_tip():
     seed = VoxelIndex(10, 10, 10)
     fld = init_levelset(dims, DX, seed, 5.0)
     sp = _unit_speed(dims)
-    cfg = SolverConfig(model=Model.CLASSICAL, seed=seed)
+    cfg = SolverConfig(model=Model.CLASSICAL)
     ii, jj, kk = np.meshgrid(*[np.arange(21)] * 3, indexing="ij")
     away = (ii - 10) ** 2 + (jj - 10) ** 2 + (kk - 10) ** 2 >= 25
     prev = fld.volume.values
@@ -249,8 +240,8 @@ def test_step_epsilon_zero_matches_first_order():
     rng = np.random.default_rng(31)
     sp = _speed_from_g(rng.uniform(0.2, 1.0, size=dims))
     fld = init_levelset(dims, DX, seed, 5.0)
-    cfg1 = SolverConfig(model=Model.GEODESIC1, seed=seed)
-    cfg2 = SolverConfig(model=Model.GEODESIC2, epsilon=0.0, seed=seed)
+    cfg1 = SolverConfig(model=Model.GEODESIC1)
+    cfg2 = SolverConfig(model=Model.GEODESIC2, epsilon=0.0)
     dt = 0.0025
     a, b = fld, fld
     for _ in range(5):
@@ -266,8 +257,8 @@ def test_step_monotone_under_cfl():
     dims = (9, 9, 9)
     rng = np.random.default_rng(41)
     sp = _speed_from_g(rng.uniform(0.2, 1.0, size=dims))
-    cfg = SolverConfig(model=Model.GEODESIC1, seed=VoxelIndex(4, 4, 4))
-    dt = DX / (3.0 * sp.sup_g + sp.sup_gx + sp.sup_gy + sp.sup_gz)
+    cfg = SolverConfig(model=Model.GEODESIC1)
+    dt = cfl_dt(sp, cfg.model, cfg.mu, cfg.eta, cfg.dx)
     u = rng.standard_normal(dims) * 0.1
     base = step(LevelSetField(ScalarVolume(u)), sp.active, cfg, dt).volume.values
     for _ in range(200):
@@ -283,7 +274,7 @@ def test_step_monotone_under_cfl():
 def test_step_blowup_detected():
     dims = (9, 9, 9)
     sp = _unit_speed(dims)
-    cfg = SolverConfig(model=Model.CLASSICAL, seed=VoxelIndex(4, 4, 4))
+    cfg = SolverConfig(model=Model.CLASSICAL)
     u = np.zeros(dims)
     u[4, 4, 4] = 1e308
     fld = LevelSetField(ScalarVolume(u), n=6)
@@ -335,9 +326,8 @@ def _full_grid_step(fld, speed, cfg, dt):
     """Reference: the explicit update evaluated on every voxel, with
     whole-grid differences, np.gradient and edge-padded curvature."""
     u = fld.volume.values
-    g = speed.g.values
-    grads = tuple(gg.values for gg in speed.grad_g)
-    h = llf_hamiltonian(cfg.model, g, grads, _full_grid_upwind(u, cfg.dx), cfg.mu, cfg.eta)
+    g = speed.g
+    h = llf_hamiltonian(cfg.model, g, speed.grad_g, _full_grid_upwind(u, cfg.dx), cfg.mu, cfg.eta)
     if cfg.model is Model.GEODESIC2:
         kappa = _full_grid_curvature(u, cfg.dx, cfg.curvature_delta)
         cx, cy, cz = np.gradient(u, cfg.dx)
@@ -382,7 +372,7 @@ def easy_speed():
 @pytest.mark.parametrize("model", list(Model))
 def test_step_equals_full_grid_oracle_on_easy(easy_speed, model):
     raw, seed, sp = easy_speed
-    cfg = SolverConfig(model=model, seed=seed)
+    cfg = SolverConfig(model=model)
     dt = cfl_dt(sp, model, cfg.mu, cfg.eta, cfg.dx)
     fld = ref = init_levelset(raw.dims, cfg.dx, seed, cfg.seed_radius_voxels, raw.spacing)
     for _ in range(50):
@@ -426,8 +416,8 @@ def test_step_is_pure_and_reuses_tables():
         assert np.array_equal(fld.volume.values, before)
         assert out.volume.values is not fld.volume.values
         # the active set is where g or grad g is nonzero; nothing else moves
-        grads = [gg.values for gg in sp.grad_g]
-        active = (g != 0) | (grads[0] != 0) | (grads[1] != 0) | (grads[2] != 0)
+        gx, gy, gz = sp.grad_g
+        active = (g != 0) | (gx != 0) | (gy != 0) | (gz != 0)
         assert np.array_equal(np.flatnonzero(active), sp.active.index)
         assert not active[:4].any()
         assert np.array_equal(out.volume.values[~active], before[~active])
@@ -441,6 +431,32 @@ def test_step_is_pure_and_reuses_tables():
             out = step(out, sp.active, cfg, 0.0025)
         assert sp.active is act and getattr(act, name) is table
         assert np.array_equal(act.faces, act.stencil[:7])
+
+
+def test_gmfd1_geodesic_bias_is_the_zero_speed_ring(easy_speed):
+    # on the one-voxel ring just outside the tissue mask g = 0 but the
+    # centred grad g is not.  There the classical Hamiltonian g|Dv| is
+    # zero, while gmfd1's advective term -eta grad g . Dv carries the front
+    # one ring out: the raw left mask fills the seed's component of the
+    # active set, and its voxels outside the truth are exactly that ring
+    raw, seed, sp = easy_speed
+    _, truth, _ = generate_phantom(suite_spec("easy"))
+    params = SUITE_PARAMS["easy"]
+    pre_cfg = PreprocessConfig(sigma=params["sigma"])
+    gx, gy, gz = sp.grad_g
+    active = (sp.g != 0) | (gx != 0) | (gy != 0) | (gz != 0)
+    labels, _ = ndimage.label(active, CONNECTIVITY)
+    component = labels == labels[seed.as_tuple()]
+    ring = sp.g == 0
+    geodesic, = evolve(raw, SolverConfig(model=Model.GEODESIC1, n_max=params["n_max"]),
+                       [seed], pre_cfg)
+    mask = geodesic.mask.values
+    assert np.array_equal(mask, component) and mask.sum() == 18_081
+    outside = mask & ~truth.values
+    assert np.array_equal(outside, mask & ring) and outside.sum() == 2_624
+    classical, = evolve(raw, SolverConfig(model=Model.CLASSICAL, n_max=params["n_max"]),
+                        [seed], pre_cfg)
+    assert not (classical.mask.values & ring).any()
 
 
 # ------------------------------------------------------------ extract_mask
@@ -469,8 +485,8 @@ def _uniform_phantom(dims=(25, 25, 25), hu=60.0):
 def test_evolve_nmax_zero_returns_initial_sphere():
     vol = _uniform_phantom()
     seed = VoxelIndex(12, 12, 12)
-    cfg = SolverConfig(model=Model.GEODESIC1, seed=seed, n_max=0)
-    result = evolve(vol, cfg)
+    cfg = SolverConfig(model=Model.GEODESIC1, n_max=0)
+    result, = evolve(vol, cfg, [seed])
     expected = extract_mask(init_levelset(vol.dims, DX, seed, 5.0))
     assert np.array_equal(result.mask.values, expected.values)
     assert result.iterations == 0
@@ -478,9 +494,9 @@ def test_evolve_nmax_zero_returns_initial_sphere():
 
 def test_evolve_seed_outside_tissue():
     vol = _uniform_phantom()
-    cfg = SolverConfig(model=Model.GEODESIC1, seed=VoxelIndex(12, 12, 1), n_max=5)
+    cfg = SolverConfig(model=Model.GEODESIC1, n_max=5)
     with pytest.raises(SeedError, match="tissue"):
-        evolve(vol, cfg)
+        evolve(vol, cfg, [VoxelIndex(12, 12, 1)])
 
 
 @pytest.mark.parametrize("seed, message", [
@@ -489,16 +505,16 @@ def test_evolve_seed_outside_tissue():
     (VoxelIndex(12, -1, 12), "outside the volume"),
 ])
 def test_evolve_seed_missing_or_off_grid(seed, message):
-    cfg = SolverConfig(model=Model.GEODESIC1, seed=seed, n_max=5)
+    cfg = SolverConfig(model=Model.GEODESIC1, n_max=5)
     with pytest.raises(SeedError, match=message):
-        evolve(_uniform_phantom(), cfg)
+        evolve(_uniform_phantom(), cfg, [seed])
 
 
 def test_evolve_deterministic():
     vol = _uniform_phantom()
-    cfg = SolverConfig(model=Model.GEODESIC1, seed=VoxelIndex(12, 12, 12), n_max=30)
-    a = evolve(vol, cfg)
-    b = evolve(vol, cfg)
+    cfg = SolverConfig(model=Model.GEODESIC1, n_max=30)
+    a, = evolve(vol, cfg, [VoxelIndex(12, 12, 12)])
+    b, = evolve(vol, cfg, [VoxelIndex(12, 12, 12)])
     assert np.array_equal(a.mask.values, b.mask.values)
     assert a.iterations == b.iterations == 30
 
@@ -509,21 +525,20 @@ def test_evolve_early_stop_stagnation():
     vol = _uniform_phantom()
     cfg = SolverConfig(
         model=Model.CLASSICAL,
-        seed=VoxelIndex(12, 12, 12),
         n_max=5000,
         early_stop="stagnation",
         stagnation_window=10,
     )
-    result = evolve(vol, cfg)
+    result, = evolve(vol, cfg, [VoxelIndex(12, 12, 12)])
     assert result.iterations < 5000
 
 
-def _whole_set_loop(sp, dims, cfg, act=None):
+def _whole_set_loop(sp, dims, cfg, seed, act=None):
     """Reference: `step` on the whole active set of `sp` (or on `act`) from
-    the sphere at `cfg.seed`, to `cfg.n_max` steps or, with stagnation
-    stop, until the whole-grid mask has not changed for
-    `cfg.stagnation_window` consecutive steps."""
-    fld = init_levelset(dims, cfg.dx, cfg.seed, cfg.seed_radius_voxels)
+    the sphere at `seed`, to `cfg.n_max` steps or, with stagnation stop,
+    until the whole-grid mask has not changed for `cfg.stagnation_window`
+    consecutive steps."""
+    fld = init_levelset(dims, cfg.dx, seed, cfg.seed_radius_voxels)
     dt = cfl_dt(sp, cfg.model, cfg.mu, cfg.eta, cfg.dx)
     prev, stagnant = None, 0
     while fld.n < cfg.n_max and stagnant < cfg.stagnation_window:
@@ -535,19 +550,20 @@ def _whole_set_loop(sp, dims, cfg, act=None):
     return fld
 
 
-def _whole_set_reference(vol, cfg):
+def _whole_set_reference(vol, cfg, seed):
     """`_whole_set_loop` on the speed field `evolve` builds for `vol`."""
     image, tissue = preprocess_pipeline(vol, PreprocessConfig())
     sp = build_speed(image, tissue, cfg.p, cfg.dx)
-    return _whole_set_loop(sp, vol.dims, cfg), sp
+    return _whole_set_loop(sp, vol.dims, cfg, seed), sp
 
 
 def test_evolve_stagnation_matches_whole_grid_masks():
     vol = _uniform_phantom()
-    cfg = SolverConfig(model=Model.GEODESIC1, seed=VoxelIndex(12, 12, 12), n_max=5000,
+    seed = VoxelIndex(12, 12, 12)
+    cfg = SolverConfig(model=Model.GEODESIC1, n_max=5000,
                        early_stop="stagnation", stagnation_window=10)
-    result = evolve(vol, cfg)
-    fld, _ = _whole_set_reference(vol, cfg)
+    result, = evolve(vol, cfg, [seed])
+    fld, _ = _whole_set_reference(vol, cfg, seed)
     assert result.iterations == fld.n < cfg.n_max
     assert np.array_equal(result.mask.values, extract_mask(fld).values)
 
@@ -561,9 +577,9 @@ def test_evolve_seeds_shared_component_steps_whole_set(model):
     cfg = SolverConfig(model=model, n_max=40)
     runs, _ = solver._prepare(vol, cfg, seeds, None)
     (_, left), (_, right) = runs
-    results = evolve_seeds(vol, cfg, seeds)
+    results = evolve(vol, cfg, seeds)
     for seed, result, act in zip(seeds, results, (left, right)):
-        fld, sp = _whole_set_reference(vol, replace(cfg, seed=seed))
+        fld, sp = _whole_set_reference(vol, cfg, seed)
         assert np.array_equal(act.index, sp.active.index)
         assert result.active_voxels == sp.active.index.size
         assert np.array_equal(result.mask.values, extract_mask(fld).values)
@@ -580,11 +596,10 @@ def _box_volume(dims, boxes):
 
 
 def _evolve_on_speed(vol, sp, cfg, seeds):
-    """`evolve_seeds` on `vol` (for its tissue mask) with the speed field
-    `sp`."""
+    """`evolve` on `vol` (for its tissue mask) with the speed field `sp`."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "build_speed", lambda *args: sp)
-        return evolve_seeds(vol, cfg, seeds)
+        return evolve(vol, cfg, seeds)
 
 
 def _two_boxes(rng, gap, ends, textured=True, dims=(30, 12, 12)):
@@ -607,7 +622,7 @@ def _two_boxes(rng, gap, ends, textured=True, dims=(30, 12, 12)):
 def _check_against_whole_set(vol, sp, cfg, seeds):
     results = _evolve_on_speed(vol, sp, cfg, seeds)
     for seed, result in zip(seeds, results):
-        fld = _whole_set_loop(sp, vol.dims, replace(cfg, seed=seed))
+        fld = _whole_set_loop(sp, vol.dims, cfg, seed)
         assert np.array_equal(result.mask.values, extract_mask(fld).values)
         assert result.iterations == fld.n
 
@@ -655,14 +670,14 @@ def test_evolve_seeds_steps_every_component_the_sphere_reaches(model):
     assert set(labels) == {1, 2}
     # on the left box's last plane: the sphere reaches 3 planes into the gap
     seed = VoxelIndex(xs[0][1] - 1, 6, 6)
-    cfg = SolverConfig(model=model, seed=seed, n_max=30, seed_radius_voxels=3.5)
+    cfg = SolverConfig(model=model, n_max=30, seed_radius_voxels=3.5)
     result, = _evolve_on_speed(vol, sp, cfg, [seed])
     assert result.active_voxels == sp.active.index.size
-    fld = _whole_set_loop(sp, vol.dims, cfg)
+    fld = _whole_set_loop(sp, vol.dims, cfg, seed)
     assert np.array_equal(result.mask.values, extract_mask(fld).values)
     flat = np.ravel_multi_index(seed.as_tuple(), vol.dims)
     own = sp.active.restrict(labels == labels[np.searchsorted(sp.active.index, flat)])
-    fld = _whole_set_loop(sp, vol.dims, cfg, own)
+    fld = _whole_set_loop(sp, vol.dims, cfg, seed, own)
     assert not np.array_equal(result.mask.values, extract_mask(fld).values)
 
 
@@ -676,10 +691,8 @@ def test_evolve_seeds_equals_evolve_per_seed(model):
     vol = ScalarVolume(vals)
     seeds = [VoxelIndex(10, 12, 12), VoxelIndex(28, 12, 12)]
     cfg = SolverConfig(model=model, n_max=1000, early_stop="stagnation", stagnation_window=20)
-    pair = evolve_seeds(vol, cfg, seeds)
-    singles = [evolve(vol, SolverConfig(model=model, seed=seed, n_max=1000,
-                                        early_stop="stagnation", stagnation_window=20))
-               for seed in seeds]
+    pair = evolve(vol, cfg, seeds)
+    singles = [evolve(vol, cfg, [seed])[0] for seed in seeds]
     for got, want in zip(pair, singles):
         assert np.array_equal(got.mask.values, want.mask.values)
         assert got.iterations == want.iterations < cfg.n_max
@@ -697,11 +710,11 @@ def test_evolve_seeds_more_workers_than_cores_fast_switching():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = evolve_seeds(vol, cfg, seeds)
+        results = evolve(vol, cfg, seeds)
     finally:
         sys.setswitchinterval(interval)
     for got, seed in zip(results, seeds):
-        want = evolve(vol, SolverConfig(model=Model.GEODESIC2, seed=seed, n_max=40))
+        want, = evolve(vol, cfg, [seed])
         assert np.array_equal(got.mask.values, want.mask.values)
         assert got.iterations == want.iterations == 40
 
@@ -714,13 +727,13 @@ def test_evolve_seeds_checks_every_seed_before_stepping(monkeypatch):
     cfg = SolverConfig(model=Model.GEODESIC1, n_max=5)
     good = VoxelIndex(12, 12, 12)
     with pytest.raises(SeedError, match="outside the volume"):
-        evolve_seeds(_uniform_phantom(), cfg, [good, VoxelIndex(12, 99, 12)])
+        evolve(_uniform_phantom(), cfg, [good, VoxelIndex(12, 99, 12)])
     with pytest.raises(SeedError, match="tissue"):
-        evolve_seeds(_uniform_phantom(), cfg, [good, VoxelIndex(12, 12, 1)])
+        evolve(_uniform_phantom(), cfg, [good, VoxelIndex(12, 12, 1)])
     with pytest.raises(SeedError, match="closer than"):
-        evolve_seeds(_uniform_phantom(), cfg, [good, VoxelIndex(12, 12, 4)])
+        evolve(_uniform_phantom(), cfg, [good, VoxelIndex(12, 12, 4)])
     with pytest.raises(SeedError, match="no seed"):
-        evolve_seeds(_uniform_phantom(), cfg, [])
+        evolve(_uniform_phantom(), cfg, [])
 
 
 def test_evolve_seeds_stops_the_other_loop_on_error(monkeypatch):
@@ -741,7 +754,7 @@ def test_evolve_seeds_stops_the_other_loop_on_error(monkeypatch):
     before = threading.active_count()
     cfg = SolverConfig(model=Model.CLASSICAL, n_max=5000)
     with pytest.raises(BlowupError, match="iteration 3"):
-        evolve_seeds(_uniform_phantom(), cfg, [VoxelIndex(12, 12, 12), VoxelIndex(11, 12, 12)])
+        evolve(_uniform_phantom(), cfg, [VoxelIndex(12, 12, 12), VoxelIndex(11, 12, 12)])
     assert threading.active_count() == before
     assert calls[threading.main_thread().name] < 5000
 
@@ -766,8 +779,8 @@ def test_hard_phantom_left_dice_floors(model):
     params = SUITE_PARAMS["hard"]
     n_max = params["n_max_second_order"] if model is Model.GEODESIC2 else params["n_max"]
     seed = tube_seed(spec, "left")
-    result = evolve(raw, SolverConfig(model=model, seed=seed, n_max=n_max),
-                    PreprocessConfig(sigma=params["sigma"]))
+    result, = evolve(raw, SolverConfig(model=model, n_max=n_max), [seed],
+                     PreprocessConfig(sigma=params["sigma"]))
     raw_floor, cleaned_floor = HARD_LEFT_DICE_FLOORS[model]
     assert dice(result.mask, truth) >= raw_floor
     assert dice(postprocess(result.mask, seed), truth) >= cleaned_floor

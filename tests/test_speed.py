@@ -11,7 +11,6 @@ from levelseg.speed import (
     SpeedField,
     build_speed,
     cfl_dt,
-    gradient_centered,
 )
 from levelseg.volumes import BinaryMask, ScalarVolume
 
@@ -27,53 +26,28 @@ def _all_tissue(dims):
 
 
 def _constant_field(g_value, dims=(5, 5, 5)):
-    g = ScalarVolume(np.full(dims, g_value))
-    zero = ScalarVolume(np.zeros(dims))
-    return SpeedField(g, (zero, zero, zero), g_value, 0.0, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------- gradient
-
-def test_gradient_constant_is_zero():
-    gx, gy, gz = gradient_centered(_vol(np.full((5, 5, 5), 3.0)), DX)
-    assert np.all(gx.values == 0) and np.all(gy.values == 0) and np.all(gz.values == 0)
-
-
-def test_gradient_ramp_oracle():
-    ii = np.arange(6)[:, None, None] * np.ones((1, 6, 6))
-    gx, gy, gz = gradient_centered(_vol(2.5 * ii), DX)
-    assert np.allclose(gx.values, 2.5 / DX)  # slope c per voxel divided by dx
-    assert np.allclose(gy.values, 0.0)
-    assert np.allclose(gz.values, 0.0)
-
-
-def test_gradient_plane_ratio():
-    ii, jj, kk = np.meshgrid(np.arange(7), np.arange(7), np.arange(7), indexing="ij")
-    gx, gy, gz = gradient_centered(_vol(ii + 2 * jj + 3 * kk), DX)
-    interior = (slice(1, -1),) * 3
-    assert np.allclose(gy.values[interior] / gx.values[interior], 2.0)
-    assert np.allclose(gz.values[interior] / gx.values[interior], 3.0)
+    zero = np.zeros(dims)
+    return SpeedField(np.full(dims, g_value), (zero, zero, zero))
 
 
 # ------------------------------------------------------------- build_speed
 
 def test_speed_flat_region_is_one():
     sp = build_speed(_vol(np.full((5, 5, 5), 0.3)), _all_tissue((5, 5, 5)), 2, DX)
-    assert np.all(sp.g.values == 1.0)
-    assert sp.sup_g == 1.0
+    assert np.all(sp.g == 1.0)
 
 
 def test_speed_unit_gradient_is_half():
     # |grad I| = 1 with p = 2 -> g = 0.5 at interior voxels
     ii = np.arange(9)[:, None, None] * np.ones((1, 9, 9))
     sp = build_speed(_vol(DX * ii), _all_tissue((9, 9, 9)), 2, DX)
-    assert np.allclose(sp.g.values[1:-1], 0.5)
+    assert np.allclose(sp.g[1:-1], 0.5)
 
 
 def test_speed_slope_three_is_tenth():
     ii = np.arange(9)[:, None, None] * np.ones((1, 9, 9))
     sp = build_speed(_vol(3.0 * DX * ii), _all_tissue((9, 9, 9)), 2, DX)
-    assert np.allclose(sp.g.values[1:-1], 0.1)
+    assert np.allclose(sp.g[1:-1], 0.1)
 
 
 def test_speed_zeroed_outside_tissue():
@@ -81,8 +55,8 @@ def test_speed_zeroed_outside_tissue():
     tissue = np.zeros(dims, dtype=bool)
     tissue[2, 2, 2] = True
     sp = build_speed(_vol(np.full(dims, 1.0)), BinaryMask(tissue), 2, DX)
-    assert sp.g.values[2, 2, 2] == 1.0
-    assert np.sum(sp.g.values) == 1.0
+    assert sp.g[2, 2, 2] == 1.0
+    assert np.sum(sp.g) == 1.0
 
 
 def test_speed_p_validation():
@@ -96,17 +70,18 @@ def test_speed_bounds_under_intensity_scaling(seed, scale, p):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(0, 1, size=(6, 6, 6))
     sp = build_speed(_vol(scale * vals), _all_tissue((6, 6, 6)), p, DX)
-    assert np.all(sp.g.values > 0.0)
-    assert np.all(sp.g.values <= 1.0)
+    assert np.all(sp.g > 0.0)
+    assert np.all(sp.g <= 1.0)
 
 
-def test_cached_sup_norms():
+def test_grad_g_is_np_gradient_of_g():
     rng = np.random.default_rng(5)
-    sp = build_speed(_vol(rng.uniform(0, 1, size=(7, 7, 7))), _all_tissue((7, 7, 7)), 2, DX)
-    assert sp.sup_g == np.abs(sp.g.values).max()
-    assert sp.sup_gx == np.abs(sp.grad_g[0].values).max()
-    assert sp.sup_gy == np.abs(sp.grad_g[1].values).max()
-    assert sp.sup_gz == np.abs(sp.grad_g[2].values).max()
+    dims = (7, 8, 9)
+    tissue = BinaryMask(rng.random(dims) < 0.8)
+    sp = build_speed(_vol(rng.uniform(0, 1, size=dims)), tissue, 2, DX)
+    assert len(sp.grad_g) == 3
+    for got, want in zip(sp.grad_g, np.gradient(sp.g, DX)):
+        assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------------ cfl_dt
@@ -142,8 +117,32 @@ def test_cfl_standard_bound_at_unit_weights(seed, mu, eta):
     # step is bitwise the unweighted one
     rng = np.random.default_rng(seed)
     sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 6, 6))), _all_tissue((6, 6, 6)), 2, DX)
-    standard = (1.0 / (3.0 * sp.sup_g + (sp.sup_gx + sp.sup_gy + sp.sup_gz))) * DX
+    sup_g = np.abs(sp.g).max()
+    sup_gx, sup_gy, sup_gz = (np.abs(c).max() for c in sp.grad_g)
+    standard = (1.0 / (3.0 * sup_g + (sup_gx + sup_gy + sup_gz))) * DX
     assert cfl_dt(sp, Model.GEODESIC1, mu=mu, eta=eta, dx=DX) == standard
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), model=st.sampled_from(list(Model)),
+       density=st.floats(0.05, 1.0), mu=st.floats(0.1, 10.0), eta=st.floats(0.1, 10.0))
+def test_cfl_equals_bound_over_sup_norms(seed, model, density, mu, eta):
+    # the sup-norms of g and of each gradient component, taken from the
+    # arrays and summed x, then y, then z
+    rng = np.random.default_rng(seed)
+    tissue = rng.random((6, 7, 5)) < density
+    tissue[3, 3, 2] = True
+    sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 7, 5))), BinaryMask(tissue), 2, DX)
+    sup_g = float(np.abs(sp.g).max())
+    sup_gx, sup_gy, sup_gz = (float(np.abs(c).max()) for c in sp.grad_g)
+    if model is Model.CLASSICAL:
+        want = DX / (3.0 * sup_g)
+    elif model is Model.GEODESIC1:
+        grad_sum = sup_gx + sup_gy + sup_gz
+        want = 1.0 / max(3.0 * sup_g + grad_sum, 3.0 * mu * sup_g + eta * grad_sum) * DX
+    else:
+        want = 0.25 * DX * DX
+    assert cfl_dt(sp, model, mu=mu, eta=eta, dx=DX) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -157,9 +156,9 @@ def test_cfl_monotone_bound(seed, model, mu, eta):
     rng = np.random.default_rng(seed)
     sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 6, 6))), _all_tissue((6, 6, 6)), 2, DX)
     dt = cfl_dt(sp, model, mu=mu, eta=eta, dx=DX)
-    g = sp.g.values
+    g = sp.g
     if model is Model.CLASSICAL:
         alpha_sum = 3.0 * g
     else:
-        alpha_sum = 3.0 * mu * g + eta * sum(np.abs(c.values) for c in sp.grad_g)
+        alpha_sum = 3.0 * mu * g + eta * sum(np.abs(c) for c in sp.grad_g)
     assert (dt / DX) * alpha_sum.max() <= 1.0 + 1e-12
