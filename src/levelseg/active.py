@@ -57,8 +57,8 @@ CONNECTIVITY[tuple(np.array(STENCIL).T + 1)] = True
 
 class ActiveSet:
     """Voxels of a grid of `shape`, as flat C-order indices `index`, with
-    g and grad g there and the tables of neighbour indices that the step
-    gathers level-set values from.
+    g and grad g there (grad g as one (3, N) array) and the tables of
+    neighbour indices that the step gathers level-set values from.
 
     The tables are built on first use and then only read, so build the
     ones a run needs before threads share the set.
@@ -81,12 +81,12 @@ class ActiveSet:
         for c in grad_g:
             active |= c != 0
         index = np.flatnonzero(active)
-        return cls(g.shape, index, g.take(index), tuple(c.take(index) for c in grad_g))
+        return cls(g.shape, index, g.take(index), np.stack([c.take(index) for c in grad_g]))
 
     def restrict(self, keep):
         """The set of the positions where the boolean `keep` is true."""
         return ActiveSet(self.shape, self.index[keep], self.g[keep],
-                         tuple(c[keep] for c in self.grad_g))
+                         self.grad_g[:, keep])
 
     def components(self):
         """The label, from 1, of each voxel's 18-connected component."""

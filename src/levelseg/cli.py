@@ -76,7 +76,9 @@ def cmd_segment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     pre_cfg = PreprocessConfig(sigma=args.sigma)
     cfg = SolverConfig(model=Model(args.model), mu=args.mu, eta=args.eta,
-                       epsilon=args.epsilon, p=args.p, dx=args.dx, n_max=args.nmax)
+                       epsilon=args.epsilon, p=args.p, dx=args.dx, n_max=args.nmax,
+                       early_stop=args.early_stop,
+                       stagnation_window=args.stagnation_window)
     raw = load_volume(args.input)
     if args.model == "gmfd2":
         _log(f"parabolic CFL: dt = 0.25*dx^2 = {0.25 * args.dx * args.dx}")
@@ -84,7 +86,10 @@ def cmd_segment(args) -> int:
     timing = {"model": args.model, "n_max": args.nmax, "sides": {}}
     merged = np.zeros(raw.dims, dtype=bool)
     seeds = [VoxelIndex(*args.seed_left), VoxelIndex(*args.seed_right)]
+    start = time.perf_counter()
     results = evolve(raw, cfg, seeds, pre_cfg)
+    # the sides' loops overlap on two threads, so their `seconds` do not add
+    timing["pair_seconds"] = time.perf_counter() - start
     for side, seed, result in zip(("left", "right"), seeds, results):
         mask = result.mask
         if args.postprocess:
@@ -184,6 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--seed-right", required=True, type=_parse_seed)
     seg.add_argument("--model", required=True, choices=[m.value for m in Model])
     seg.add_argument("--nmax", required=True, type=int)
+    seg.add_argument("--early-stop", choices=["off", "stagnation"], default="off",
+                     help="stop a side once its mask has not changed for "
+                          "--stagnation-window steps")
+    seg.add_argument("--stagnation-window", type=int, default=50)
     seg.add_argument("--p", type=int, default=2)
     seg.add_argument("--sigma", type=float, default=0.0)
     seg.add_argument("--mu", type=float, default=1.0)

@@ -15,8 +15,9 @@ from levelseg.cli import main
 from levelseg.metrics import dice
 from levelseg.phantom import SUITE_PARAMS
 from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
-from levelseg.speed import build_speed
-from levelseg.volumes import load_mask, load_volume
+from levelseg.solver import SolverConfig
+from levelseg.speed import Model, build_speed
+from levelseg.volumes import VoxelIndex, load_mask, load_volume
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,55 @@ def test_segment_manifest(phantom_dir, tmp_path):
         "hu_clip_threshold": 120.0, "tissue_interval": [5.0, 120.0],
         "equalization_bins": 256, "postprocess": True, "start_slice": 19,
     }
+
+
+@pytest.fixture(scope="module")
+def stagnation_run(phantom_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("stagnation")
+    assert main([
+        "segment", "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "classical", "--nmax", "400", "--sigma", "1.75",
+        "--early-stop", "stagnation", "--stagnation-window", "50",
+        "--out", str(out),
+    ]) == 0
+    return out
+
+
+def test_segment_early_stop_stagnation_equals_evolve(phantom_dir, stagnation_run):
+    # both sides stagnate before --nmax, with the masks and iteration
+    # counts of `evolve` under the same config
+    cfg = SolverConfig(model=Model.CLASSICAL, n_max=400, early_stop="stagnation",
+                       stagnation_window=50)
+    results = solver.evolve(load_volume(phantom_dir / "volume.json"), cfg,
+                            [VoxelIndex(22, 40, 20), VoxelIndex(57, 40, 20)],
+                            PreprocessConfig(sigma=1.75))
+    timing = json.loads((stagnation_run / "timing.json").read_text())
+    for side, result in zip(("left", "right"), results):
+        assert timing["sides"][side]["iterations"] == result.iterations < cfg.n_max
+        mask = load_mask(stagnation_run / f"{side}.mask.json")
+        assert np.array_equal(mask.values, result.mask.values)
+    manifest = json.loads((stagnation_run / "manifest.json").read_text())
+    assert (manifest["early_stop"], manifest["stagnation_window"]) == ("stagnation", 50)
+
+
+def test_segment_timing_records_pair_seconds(stagnation_run):
+    # the sides' loops overlap, so the pair's elapsed time is recorded too
+    timing = json.loads((stagnation_run / "timing.json").read_text())
+    seconds = [side["seconds"] for side in timing["sides"].values()]
+    assert timing["pair_seconds"] >= max(seconds) > 0
+
+
+def test_segment_bad_stagnation_window_is_one_line(phantom_dir, tmp_path, capsys):
+    rc = main([
+        "segment", "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "classical", "--nmax", "5", "--early-stop", "stagnation",
+        "--stagnation-window", "0", "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: stagnation_window must be >= 1"]
 
 
 def test_segment_gmfd2_logs_parabolic_dt(phantom_dir, tmp_path, capsys):
