@@ -23,7 +23,7 @@ from .phantom import (
     suite_spec,
     tube_seed,
 )
-from .postprocess import PostprocessError, postprocess
+from .postprocess import PostprocessError, check_start_slice, postprocess
 from .preprocess import PreprocessConfig
 from .solver import BlowupError, SeedError, SolverConfig, evolve
 from .speed import DegenerateSpeedError, Model
@@ -55,20 +55,14 @@ def _parse_spacing(text):
 
 
 def _slice_contours(mask: BinaryMask):
-    """(slice, i, j) rows for the 4-neighbor in-plane boundary of each slice."""
+    """(slice, i, j) rows for the 4-neighbor in-plane boundary of each slice,
+    ordered by slice, then i, then j."""
     m = mask.values
-    rows = []
-    for k in range(m.shape[2]):
-        sl = m[:, :, k]
-        if not sl.any():
-            continue
-        padded = np.pad(sl, 1, mode="constant")
-        interior = (
-            padded[2:, 1:-1] & padded[:-2, 1:-1] & padded[1:-1, 2:] & padded[1:-1, :-2]
-        )
-        for i, j in np.argwhere(sl & ~interior):
-            rows.append((k, int(i), int(j)))
-    return rows
+    padded = np.pad(m, ((1, 1), (1, 1), (0, 0)), mode="constant")
+    interior = (
+        padded[2:, 1:-1] & padded[:-2, 1:-1] & padded[1:-1, 2:] & padded[1:-1, :-2]
+    )
+    return np.argwhere((m & ~interior).transpose(2, 0, 1)).tolist()
 
 
 def cmd_segment(args) -> int:
@@ -80,6 +74,8 @@ def cmd_segment(args) -> int:
                        early_stop=args.early_stop,
                        stagnation_window=args.stagnation_window)
     raw = load_volume(args.input)
+    if args.postprocess and args.start_slice is not None:
+        check_start_slice(args.start_slice, raw.dims[2])
     if args.model == "gmfd2":
         _log(f"parabolic CFL: dt = 0.25*dx^2 = {0.25 * args.dx * args.dx}")
 

@@ -33,47 +33,64 @@ def _check_dims(a: BinaryMask, b: BinaryMask):
 def dice(a: BinaryMask, b: BinaryMask) -> float:
     """Overlap ratio 2|A&B| / (|A| + |B|); two empty masks count as 1."""
     _check_dims(a, b)
-    na = a.count()
-    nb = b.count()
+    na = np.count_nonzero(a.values)
+    nb = np.count_nonzero(b.values)
     if na + nb == 0:
         return 1.0
-    inter = int((a.values & b.values).sum())
+    inter = np.count_nonzero(a.values & b.values)
     return 2.0 * inter / (na + nb)
 
 
 def jaccard(a: BinaryMask, b: BinaryMask) -> float:
     """Overlap ratio |A&B| / |AuB|; two empty masks count as 1."""
     _check_dims(a, b)
-    union = int((a.values | b.values).sum())
+    union = np.count_nonzero(a.values | b.values)
     if union == 0:
         return 1.0
-    inter = int((a.values & b.values).sum())
+    inter = np.count_nonzero(a.values & b.values)
     return inter / union
 
 
-def surface_voxels(mask: BinaryMask) -> np.ndarray:
-    """Foreground voxels with at least one of six face-neighbors background
-    (out-of-bounds counts as background); returned as an (n, 3) index array."""
-    m = mask.values
+def _surface_mask(m) -> np.ndarray:
     padded = np.pad(m, 1, mode="constant", constant_values=False)
     interior = (
         padded[2:, 1:-1, 1:-1] & padded[:-2, 1:-1, 1:-1]
         & padded[1:-1, 2:, 1:-1] & padded[1:-1, :-2, 1:-1]
         & padded[1:-1, 1:-1, 2:] & padded[1:-1, 1:-1, :-2]
     )
-    return np.argwhere(m & ~interior)
+    return m & ~interior
+
+
+def surface_voxels(mask: BinaryMask) -> np.ndarray:
+    """Foreground voxels with at least one of six face-neighbors background
+    (out-of-bounds counts as background); returned as an (n, 3) index array."""
+    return np.argwhere(_surface_mask(mask.values))
+
+
+def _distances_to(pts, other_pts, on_other, scale):
+    """Distance from each of `pts` to the nearest of `other_pts`, scaled.
+    A point that is also in `other_pts` (`on_other`) is its own nearest
+    point, at distance 0, so only the rest are queried."""
+    d = np.zeros(len(pts))
+    off = ~on_other
+    if off.any():
+        d[off] = cKDTree(other_pts * scale).query(pts[off] * scale)[0]
+    return d
 
 
 def _surface_distances(a: BinaryMask, b: BinaryMask, spacing):
     """Closest-point distances, in physical units, from each surface voxel
     of `a` to the surface of `b` (`d_ab`) and back (`d_ba`)."""
     _check_dims(a, b)
-    if a.count() == 0 or b.count() == 0:
+    if not a.values.any() or not b.values.any():
         raise MetricsError("distance metrics require two nonempty masks")
     scale = np.asarray(a.spacing if spacing is None else spacing, dtype=np.float64)
-    pa, pb = surface_voxels(a) * scale, surface_voxels(b) * scale
-    d_ab, _ = cKDTree(pb).query(pa)
-    d_ba, _ = cKDTree(pa).query(pb)
+    if not np.all(np.isfinite(scale) & (scale > 0)):
+        raise MetricsError("spacing must be finite and positive")
+    sa, sb = _surface_mask(a.values), _surface_mask(b.values)
+    pa, pb = np.argwhere(sa), np.argwhere(sb)
+    d_ab = _distances_to(pa, pb, sb[tuple(pa.T)], scale)
+    d_ba = _distances_to(pb, pa, sa[tuple(pb.T)], scale)
     return d_ab, d_ba
 
 

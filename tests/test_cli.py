@@ -1,4 +1,6 @@
 """End-to-end command-line interface checks."""
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,16 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
-from levelseg import solver
-from levelseg.cli import main
+from levelseg import cli, solver
+from levelseg.cli import _slice_contours, main
 from levelseg.metrics import dice
 from levelseg.phantom import SUITE_PARAMS
 from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
 from levelseg.solver import SolverConfig
 from levelseg.speed import Model, build_speed
-from levelseg.volumes import VoxelIndex, load_mask, load_volume
+from levelseg.volumes import BinaryMask, VoxelIndex, load_mask, load_volume
 
 
 @pytest.fixture(scope="module")
@@ -318,16 +322,22 @@ def test_segment_seed_off_grid(phantom_dir, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
-def test_segment_start_slice_out_of_range(phantom_dir, tmp_path, capsys):
-    rc = main([
-        "segment", "--input", str(phantom_dir / "volume.json"),
-        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
-        "--model", "gmfd1", "--nmax", "1", "--out", str(tmp_path / "x"),
-        "--postprocess", "--start-slice", "99",
-    ])
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err
+def test_segment_start_slice_out_of_range(phantom_dir, tmp_path, capsys, monkeypatch):
+    # the slice is checked against the volume before any evolution
+    def no_evolve(*args):
+        raise AssertionError("evolve called")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    for start in ("99", "41", "-1"):
+        rc = main([
+            "segment", "--input", str(phantom_dir / "volume.json"),
+            "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+            "--model", "gmfd1", "--nmax", "1", "--out", str(tmp_path / "x"),
+            "--postprocess", "--start-slice", start,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: start slice {start} out of range"]
 
 
 def test_bench_iters_cover_both_sides(monkeypatch, capsys):
@@ -357,6 +367,50 @@ def test_metrics_disjoint_distances_error(phantom_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["dice"] == 0.0
     assert doc["hausdorff"] > 0
+
+
+@pytest.mark.parametrize("spacing", ["nan,1,1", "1,inf,1", "0,1,1"])
+def test_metrics_bad_spacing_is_one_line(phantom_dir, capsys, spacing):
+    truth = str(phantom_dir / "truth_left.json")
+    assert main(["metrics", truth, truth, "--spacing", spacing]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: spacing must be finite and positive"]
+
+
+def _slice_contours_per_slice(mask):
+    """Frozen copy of the contour rows built slice by slice in a loop."""
+    m = mask.values
+    rows = []
+    for k in range(m.shape[2]):
+        sl = m[:, :, k]
+        if not sl.any():
+            continue
+        padded = np.pad(sl, 1, mode="constant")
+        interior = (
+            padded[2:, 1:-1] & padded[:-2, 1:-1] & padded[1:-1, 2:] & padded[1:-1, :-2]
+        )
+        for i, j in np.argwhere(sl & ~interior):
+            rows.append((k, int(i), int(j)))
+    return rows
+
+
+def _csv_bytes(rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["slice", "i", "j"])
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), order=st.sampled_from(["C", "F"]))
+def test_slice_contours_csv_equals_per_slice_loop(seed, order):
+    rng = np.random.default_rng(seed)
+    dims = tuple(rng.integers(3, 14, size=3))
+    vals = rng.random(dims) < rng.uniform(0.1, 0.9)
+    vals[:, :, rng.random(dims[2]) < 0.3] = False  # empty slices
+    mask = BinaryMask(np.array(vals, order=order))
+    assert _csv_bytes(_slice_contours(mask)) == _csv_bytes(_slice_contours_per_slice(mask))
 
 
 def test_metrics_missing_file(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Dice, Jaccard, Hausdorff and ASSD against brute-force oracles."""
+import importlib
 import itertools
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from levelseg.metrics import (
     MetricsError,
@@ -17,6 +20,8 @@ from levelseg.metrics import (
     surface_voxels,
 )
 from levelseg.volumes import BinaryMask
+
+metrics_module = importlib.import_module("levelseg.metrics")
 
 
 def _mask(arr, spacing=(1.0, 1.0, 1.0)):
@@ -228,3 +233,85 @@ def test_report_equals_each_metric_and_brute_force(seed, spacing):
                                          np.asarray(spacing or a.spacing))
     assert report.hausdorff == pytest.approx(want_h, abs=1e-12)
     assert report.assd == pytest.approx(want_assd, abs=1e-12)
+
+
+# ------------------------------------- bitwise oracle: the full-query code
+
+def _report_full_query(a, b, spacing=None):
+    """Frozen copy of compute_report on two nonempty masks, which queries
+    every surface voxel of each mask against the other's surface."""
+    scale = np.asarray(a.spacing if spacing is None else spacing, dtype=np.float64)
+    pa, pb = surface_voxels(a) * scale, surface_voxels(b) * scale
+    d_ab, _ = cKDTree(pb).query(pa)
+    d_ba, _ = cKDTree(pa).query(pb)
+    inter = int((a.values & b.values).sum())
+    report = {
+        "dice": 2.0 * inter / (a.count() + b.count()),
+        "jaccard": inter / int((a.values | b.values).sum()),
+        "hausdorff": float(max(d_ab.max(), d_ba.max())),
+        "assd": float((d_ab.sum() + d_ba.sum()) / (len(d_ab) + len(d_ba))),
+    }
+    return (d_ab, d_ba), report
+
+
+@pytest.fixture
+def tree_count(monkeypatch):
+    """Counts the trees the metrics build."""
+    built = []
+
+    def counting_tree(pts):
+        built.append(len(pts))
+        return cKDTree(pts)
+
+    monkeypatch.setattr(metrics_module, "cKDTree", counting_tree)
+    return built
+
+
+def _assert_equals_full_query(a, b, spacing=None):
+    (want_ab, want_ba), want = _report_full_query(a, b, spacing)
+    d_ab, d_ba = metrics_module._surface_distances(a, b, spacing)
+    assert np.array_equal(d_ab, want_ab) and np.array_equal(d_ba, want_ba)
+    assert asdict(compute_report(a, b, spacing)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31), flip=st.sampled_from([0.0, 0.01, 0.1, 0.5]),
+       spacing=st.sampled_from([None, (1.0, 1.0, 1.0), (0.5, 1.0, 3.0)]))
+def test_report_equals_full_query_reference(seed, flip, spacing):
+    # `b` is `a` with a fraction of its voxels flipped, so the two
+    # surfaces share anything from all to few of their voxels; without
+    # `spacing` the masks' own anisotropic spacing applies
+    rng = np.random.default_rng(seed)
+    dims = tuple(rng.integers(3, 13, size=3))
+    a = rng.random(dims) < rng.uniform(0.2, 0.8)
+    b = a ^ (rng.random(dims) < flip)
+    if not a.any() or not b.any():
+        return
+    _assert_equals_full_query(_mask(a, (0.7, 1.3, 2.5)), _mask(b, (0.7, 1.3, 2.5)), spacing)
+
+
+def test_identical_masks_build_no_tree(tree_count):
+    a, _ = _random_pair(4)
+    for spacing in (None, (1.0, 1.0, 2.5)):
+        _assert_equals_full_query(a, a, spacing)
+    assert tree_count == []
+
+
+def test_disjoint_masks_equal_full_query(tree_count):
+    a = np.zeros((8, 8, 8), dtype=bool); a[1:4, 1:4, 1:4] = True
+    b = np.zeros((8, 8, 8), dtype=bool); b[5:8, 2:6, 3:8] = True
+    _assert_equals_full_query(_mask(a), _mask(b), (0.5, 1.0, 3.0))
+    # one tree per direction of each of the two calls, of every surface voxel
+    assert sorted(tree_count) == sorted([26, len(surface_voxels(_mask(b)))] * 2)
+
+
+@pytest.mark.parametrize("spacing", [(float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0),
+                                     (0.0, 1.0, 1.0), (1.0, 1.0, -2.0)])
+def test_spacing_must_be_finite_and_positive(spacing):
+    # identical masks build no tree, so the check cannot rely on one
+    a, b = _random_pair(5)
+    for x, y in ((a, a), (a, b)):
+        with pytest.raises(MetricsError, match="spacing must be finite and positive"):
+            compute_report(x, y, spacing)
+        with pytest.raises(MetricsError, match="spacing must be finite and positive"):
+            hausdorff(_mask(x.values, spacing), _mask(y.values, spacing))

@@ -1,4 +1,6 @@
 """Slice-wise component reduction and distance-tolerance cleaning."""
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,9 @@ from levelseg.postprocess import (
     reduce_components,
 )
 from levelseg.volumes import BinaryMask, VoxelIndex
+
+# the package re-exports the function `postprocess` under the module's name
+postprocess_module = importlib.import_module("levelseg.postprocess")
 
 
 def _mask(arr):
@@ -265,13 +270,11 @@ def _clean_spurious_per_voxel(mask, start_slice, direction=1):
     return BinaryMask(vals, mask.spacing)
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), direction=st.sampled_from([1, -1]),
-       start=st.sampled_from(["low end", "high end", "inside"]), empty_prev=st.booleans())
-def test_clean_equals_per_voxel_reference(seed, direction, start, empty_prev):
-    # a disk that drifts and changes size from slice to slice, plus noise:
-    # voxels are kept and removed at a range of distances and tolerances,
-    # and some slices lose every voxel or are empty
+def _drifting_disks(seed, direction, start, empty_prev):
+    """A disk that drifts and changes size from slice to slice, plus noise:
+    voxels are kept and removed at a range of distances and tolerances,
+    and some slices lose every voxel or are empty.  Returns the mask and a
+    start slice with at least one voxel."""
     rng = np.random.default_rng(seed)
     nx, ny = rng.integers(3, 20, size=2)
     nz = int(rng.integers(3, 10))
@@ -288,9 +291,173 @@ def test_clean_equals_per_voxel_reference(seed, direction, start, empty_prev):
     if empty_prev and 0 <= k0 - direction < nz:
         vals[:, :, k0 - direction] = False
     vals[rng.integers(nx), rng.integers(ny), k0] = True
-    mask = _mask(vals)
+    return _mask(vals), k0
+
+
+_DRIFTING_DISKS = dict(seed=st.integers(0, 2**32 - 1), direction=st.sampled_from([1, -1]),
+                       start=st.sampled_from(["low end", "high end", "inside"]),
+                       empty_prev=st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_DRIFTING_DISKS)
+def test_clean_equals_per_voxel_reference(seed, direction, start, empty_prev):
+    mask, k0 = _drifting_disks(seed, direction, start, empty_prev)
     want = _clean_spurious_per_voxel(mask, k0, direction)
     assert np.array_equal(clean_spurious(mask, k0, direction).values, want.values)
+
+
+# ------------------------------------- bitwise oracles: the full-query code
+
+def _clean_spurious_batched(mask, start_slice, direction=1):
+    """Frozen copy of the cleaning that queries every voxel of each slice
+    against a tree of the previous slice's kept voxels."""
+    vals = mask.values.copy()
+    nz = vals.shape[2]
+    pts = np.argwhere(vals[:, :, start_slice])
+    prev_idx = start_slice - direction
+    tol = np.full(len(pts), TOLERANCE_CONSTANT)
+    if 0 <= prev_idx < nz and vals[:, :, prev_idx].any():
+        tol += cKDTree(np.argwhere(vals[:, :, prev_idx])).query(pts)[0]
+    k = start_slice + direction
+    while 0 <= k < nz:
+        cur = vals[:, :, k]
+        cur_pts = np.argwhere(cur)
+        if len(pts) == 0 or len(cur_pts) == 0:
+            break
+        dist, nearest = cKDTree(pts).query(cur_pts)
+        keep = dist <= tol[nearest]
+        cur[tuple(cur_pts[~keep].T)] = False
+        pts = cur_pts[keep]
+        tol = dist[keep] + TOLERANCE_CONSTANT
+        k += direction
+    return BinaryMask(vals, mask.spacing)
+
+
+def _reduce_components_all(mask, seed):
+    """Frozen copy of the reduction that labels every component of each
+    slice and computes every centroid."""
+    def select(labeling, point):
+        pi, pj = int(round(point[0])), int(round(point[1]))
+        ni, nj = labeling.labels.shape
+        if 0 <= pi < ni and 0 <= pj < nj and labeling.labels[pi, pj] > 0:
+            return labeling.labels[pi, pj] - 1
+        best, best_dist = None, np.inf
+        for idx, pts in enumerate(labeling.voxels):
+            d = np.min(np.hypot(pts[:, 0] - point[0], pts[:, 1] - point[1]))
+            if d < best_dist:
+                best_dist, best = d, idx
+        return best
+
+    vals = mask.values
+    nz = vals.shape[2]
+    out = np.zeros_like(vals)
+    labeling = label_components_2d(vals[:, :, seed.k])
+    seed_lbl = labeling.labels[seed.i, seed.j]
+    out[:, :, seed.k] = labeling.labels == seed_lbl
+    seed_centroid = labeling.centroids[seed_lbl - 1]
+    for direction in (1, -1):
+        centroid = seed_centroid
+        k = seed.k + direction
+        while 0 <= k < nz:
+            labeling = label_components_2d(vals[:, :, k])
+            if labeling.count == 0:
+                break
+            comp = select(labeling, centroid)
+            out[:, :, k] = labeling.labels == comp + 1
+            centroid = labeling.centroids[comp]
+            k += direction
+    return BinaryMask(out, mask.spacing)
+
+
+@pytest.fixture
+def tree_count(monkeypatch):
+    """Counts the trees clean_spurious builds."""
+    built = []
+
+    def counting_tree(pts):
+        built.append(len(pts))
+        return cKDTree(pts)
+
+    monkeypatch.setattr(postprocess_module, "cKDTree", counting_tree)
+    return built
+
+
+def _assert_clean_equals_batched(mask, start, direction=1):
+    got = clean_spurious(mask, start, direction)
+    assert np.array_equal(got.values, _clean_spurious_batched(mask, start, direction).values)
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_DRIFTING_DISKS)
+def test_clean_equals_batched_reference(seed, direction, start, empty_prev):
+    mask, k0 = _drifting_disks(seed, direction, start, empty_prev)
+    _assert_clean_equals_batched(mask, k0, direction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_DRIFTING_DISKS)
+def test_reduce_equals_all_components_reference(seed, direction, start, empty_prev):
+    # noise and a drifting disk give several components per slice, and a
+    # centroid that can fall on background
+    mask, k0 = _drifting_disks(seed, direction, start, empty_prev)
+    i, j = np.argwhere(mask.values[:, :, k0])[0]
+    seed_voxel = VoxelIndex(int(i), int(j), k0)
+    assert np.array_equal(reduce_components(mask, seed_voxel).values,
+                          _reduce_components_all(mask, seed_voxel).values)
+
+
+def test_clean_builds_no_tree_where_no_voxel_moved(tree_count):
+    vals = np.zeros((10, 10, 6), dtype=bool)
+    vals[3:7, 3:7, :] = True
+    _assert_clean_equals_batched(_mask(vals), 0)
+    assert tree_count == []
+    vals[7, 4, 3] = True  # one moved voxel: one tree, of slice 2's 16 voxels
+    _assert_clean_equals_batched(_mask(vals), 0)
+    assert tree_count == [16]
+
+
+def test_clean_every_voxel_moved_equals_reference():
+    # slice 2 is a ring around slice 1's disk: no voxel of it was there
+    # before, and slice 1's edge voxels carry raised tolerances
+    vals = np.zeros((16, 16, 4), dtype=bool)
+    vals[:, :, 0] = _disk(16, 16, (8, 8), 1)
+    vals[:, :, 1] = _disk(16, 16, (8, 8), 2)
+    vals[:, :, 2] = _disk(16, 16, (8, 8), 3) & ~_disk(16, 16, (8, 8), 2)
+    vals[:, :, 3] = _disk(16, 16, (8, 8), 3)
+    assert not (vals[:, :, 2] & vals[:, :, 1]).any()
+    for direction, start in ((1, 1), (-1, 2)):
+        got = _assert_clean_equals_batched(_mask(vals), start, direction)
+        want = _clean_spurious_per_voxel(_mask(vals), start, direction)
+        assert np.array_equal(got.values, want.values)
+
+
+def test_clean_tie_between_previous_voxels_equals_reference():
+    # (5, 6) and (6, 6) on slice 2 are equidistant from (5, 5), tolerance
+    # 0.75, and (5, 7), tolerance 2 + 0.75: the tree's choice between them
+    # decides whether they stay, so it must be the same choice as before
+    vals = np.zeros((12, 12, 3), dtype=bool)
+    vals[5, 5, 0] = True
+    vals[5, 5, 1] = vals[5, 7, 1] = True
+    vals[5, 5, 2] = vals[5, 6, 2] = vals[6, 6, 2] = True
+    _assert_clean_equals_batched(_mask(vals), 1)
+
+
+def test_reduce_centroid_outside_every_component_equals_reference():
+    # the ring's hole holds the centroid, and two blobs sit at equal
+    # distances from a bar's centroid, so the nearest-component fallback
+    # runs, once with a tie
+    vals = np.zeros((15, 15, 4), dtype=bool)
+    vals[:, :, 0] = _disk(15, 15, (7, 7), 2)
+    vals[:, :, 1] = _disk(15, 15, (7, 7), 5) & ~_disk(15, 15, (7, 7), 3)
+    vals[7, 1:14, 2] = True
+    vals[2:4, 6:9, 3] = vals[11:13, 6:9, 3] = True
+    mask = _mask(vals)
+    for seed in (VoxelIndex(7, 7, 0), VoxelIndex(7, 3, 2)):
+        want = _reduce_components_all(mask, seed).values
+        assert np.array_equal(reduce_components(mask, seed).values, want)
+    assert want[:, :, 3].any()
 
 
 # -------------------------------------------------------------- postprocess
