@@ -15,18 +15,17 @@ import numpy as np
 
 from levelseg.metrics import dice
 from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
-from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
+from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import SolverConfig, extract_mask, init_levelset, step
 from levelseg.speed import Model, build_speed, cfl_dt
 
-DX = 0.1
 TARGET = 0.90
 
 
 def profile(model, raw, speed, seed, truth, n_max, check_every=10):
     cfg = SolverConfig(model=model)
-    fld = init_levelset(raw.dims, DX, seed, 5.0)
-    dt = cfl_dt(speed, model, dx=DX)
+    fld = init_levelset(raw.dims, cfg.dx, seed, cfg.seed_radius_voxels)
+    dt = cfl_dt(speed, model, cfg.mu, cfg.eta, cfg.dx)
     crossing = None
     t0 = time.perf_counter()
     curve = []
@@ -52,8 +51,9 @@ def main():
     raw, truth_left, truth_right = generate_phantom(spec)
     truth = truth_left if args.side == "left" else truth_right
     seed = tube_seed(spec, args.side)
-    image, tissue = preprocess_pipeline(raw, PreprocessConfig(sigma=params["sigma"]))
-    speed = build_speed(image, tissue, 2, DX)
+    image, tissue = preprocess_pipeline(raw, params["sigma"])
+    defaults = SolverConfig()
+    speed = build_speed(image, tissue, defaults.p, defaults.dx)
 
     crossings = {}
     for model in Model:

@@ -4,9 +4,8 @@ connected-component cleanup and segmentation metrics."""
 
 from .metrics import MetricsReport, assd, compute_report, dice, hausdorff, jaccard, surface_voxels
 from .phantom import OrganSpec, PhantomSpec, TubeSpec, default_suite, generate_phantom, tube_seed
-from .postprocess import clean_spurious, label_components_2d, postprocess, reduce_components
+from .postprocess import clean_spurious, postprocess, reduce_components
 from .preprocess import (
-    PreprocessConfig,
     clip_hu,
     equalize_slices,
     gaussian_smooth,
@@ -29,7 +28,6 @@ from .volumes import (
     BinaryMask,
     ScalarVolume,
     VoxelIndex,
-    linear_index,
     load_mask,
     load_volume,
     store_volume,

@@ -24,8 +24,7 @@ from .phantom import (
     tube_seed,
 )
 from .postprocess import PostprocessError, check_start_slice, postprocess
-from .preprocess import PreprocessConfig
-from .solver import BlowupError, SeedError, SolverConfig, evolve
+from .solver import EARLY_STOP_MODES, BlowupError, SeedError, SolverConfig, evolve
 from .speed import DegenerateSpeedError, Model
 from .volumes import BinaryMask, VolumeError, VoxelIndex, load_mask, load_volume, store_volume
 
@@ -68,10 +67,9 @@ def _slice_contours(mask: BinaryMask):
 def cmd_segment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pre_cfg = PreprocessConfig(sigma=args.sigma)
-    cfg = SolverConfig(model=Model(args.model), mu=args.mu, eta=args.eta,
-                       epsilon=args.epsilon, p=args.p, dx=args.dx, n_max=args.nmax,
-                       early_stop=args.early_stop,
+    cfg = SolverConfig(model=Model(args.model), sigma=args.sigma, mu=args.mu,
+                       eta=args.eta, epsilon=args.epsilon, p=args.p, dx=args.dx,
+                       n_max=args.nmax, early_stop=args.early_stop,
                        stagnation_window=args.stagnation_window)
     raw = load_volume(args.input)
     if args.postprocess and args.start_slice is not None:
@@ -83,7 +81,7 @@ def cmd_segment(args) -> int:
     merged = np.zeros(raw.dims, dtype=bool)
     seeds = [VoxelIndex(*args.seed_left), VoxelIndex(*args.seed_right)]
     start = time.perf_counter()
-    results = evolve(raw, cfg, seeds, pre_cfg)
+    results = evolve(raw, cfg, seeds)
     # the sides' loops overlap on two threads, so their `seconds` do not add
     timing["pair_seconds"] = time.perf_counter() - start
     for side, seed, result in zip(("left", "right"), seeds, results):
@@ -107,10 +105,9 @@ def cmd_segment(args) -> int:
         _log(f"{side}: {result.iterations} iterations, {result.seconds:.2f}s, "
              f"dt={result.dt:.6g}, {mask.count()} voxels")
     store_volume(BinaryMask(merged, raw.spacing), out / "merged.mask.json")
-    solver = {**asdict(cfg), "model": cfg.model.value}
     manifest = {"input": args.input, "out": args.out,
                 "seed_left": args.seed_left, "seed_right": args.seed_right,
-                **solver, **asdict(pre_cfg),
+                **asdict(cfg), "model": cfg.model.value,
                 "postprocess": args.postprocess, "start_slice": args.start_slice}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
     (out / "timing.json").write_text(json.dumps(timing, indent=2))
@@ -129,28 +126,22 @@ def cmd_bench(args) -> int:
     """One row per (phantom, model); `n_max` is the budget of one side,
     `iters` totals both sides and `wall_s` is the elapsed time of
     `evolve` on the pair, whose two loops run at once."""
-    specs = default_suite()
-    if args.phantom:
-        specs = [s for s in specs if s.name == args.phantom]
-        if not specs:
-            _log(f"unknown phantom '{args.phantom}'")
-            return 1
+    specs = [suite_spec(args.phantom)] if args.phantom else default_suite()
     header = f"{'phantom':<8} {'model':<10} {'n_max':>6} {'iters':>6} {'wall_s':>8} {'dice_L':>7} {'dice_R':>7}"
     print(header)
     print("-" * len(header))
     for spec in specs:
         raw, truth_left, truth_right = generate_phantom(spec)
         params = SUITE_PARAMS[spec.name]
-        pre_cfg = PreprocessConfig(sigma=params["sigma"])
         for model in Model:
             # classical and gmfd1 share the first-order budget; the
             # parabolic time step needs its own, larger one
             n_max = (params["n_max_second_order"] if model is Model.GEODESIC2
                      else params["n_max"])
+            cfg = SolverConfig(model=model, sigma=params["sigma"], n_max=n_max)
             seeds = [tube_seed(spec, "left"), tube_seed(spec, "right")]
             start = time.perf_counter()
-            left, right = evolve(raw, SolverConfig(model=model, n_max=n_max),
-                                 seeds, pre_cfg)
+            left, right = evolve(raw, cfg, seeds)
             wall = time.perf_counter() - start
             print(f"{spec.name:<8} {model.value:<10} {n_max:>6} "
                   f"{left.iterations + right.iterations:>6} {wall:>8.2f} "
@@ -178,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="levelseg",
                                      description="3D level-set muscle segmentation")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SolverConfig()
 
     seg = sub.add_parser("segment", help="segment both muscles from a volume")
     seg.add_argument("--input", required=True)
@@ -185,16 +177,16 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--seed-right", required=True, type=_parse_seed)
     seg.add_argument("--model", required=True, choices=[m.value for m in Model])
     seg.add_argument("--nmax", required=True, type=int)
-    seg.add_argument("--early-stop", choices=["off", "stagnation"], default="off",
+    seg.add_argument("--early-stop", choices=EARLY_STOP_MODES, default=defaults.early_stop,
                      help="stop a side once its mask has not changed for "
                           "--stagnation-window steps")
-    seg.add_argument("--stagnation-window", type=int, default=50)
-    seg.add_argument("--p", type=int, default=2)
-    seg.add_argument("--sigma", type=float, default=0.0)
-    seg.add_argument("--mu", type=float, default=1.0)
-    seg.add_argument("--eta", type=float, default=0.25)
-    seg.add_argument("--epsilon", type=float, default=0.05)
-    seg.add_argument("--dx", type=float, default=0.1)
+    seg.add_argument("--stagnation-window", type=int, default=defaults.stagnation_window)
+    seg.add_argument("--p", type=int, default=defaults.p)
+    seg.add_argument("--sigma", type=float, default=defaults.sigma)
+    seg.add_argument("--mu", type=float, default=defaults.mu)
+    seg.add_argument("--eta", type=float, default=defaults.eta)
+    seg.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    seg.add_argument("--dx", type=float, default=defaults.dx)
     seg.add_argument("--out", required=True)
     seg.add_argument("--postprocess", action="store_true")
     seg.add_argument("--start-slice", type=int, default=None)

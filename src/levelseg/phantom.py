@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .preprocess import TISSUE_INTERVAL
 from .volumes import BinaryMask, ScalarVolume, VoxelIndex
 
 
@@ -74,8 +75,10 @@ class PhantomSpec:
         for tube in self.tubes + self.distractors:
             if len(tube.centers) != nz:
                 raise PhantomError("tube must define one cross section per slice")
-        if not 5.0 <= self.hu_muscle <= 120.0:
-            raise PhantomError("muscle HU must lie inside the tissue interval [5, 120]")
+        low, high = TISSUE_INTERVAL
+        if not low <= self.hu_muscle <= high:
+            raise PhantomError(
+                f"muscle HU must lie inside the tissue interval [{low:g}, {high:g}]")
 
 
 def _disk_mask(nx, ny, center, radius):

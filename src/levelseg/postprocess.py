@@ -6,8 +6,6 @@ Both steps work slice by slice on Fortran-ordered volumes, where a slice
 runs several times faster than on the strided slice of a C-ordered one."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
@@ -22,35 +20,12 @@ class PostprocessError(Exception):
     pass
 
 
-@dataclass
-class SliceLabeling:
-    labels: np.ndarray       # 2D int array, 0 = background
-    count: int
-    voxels: list             # per component: (n, 2) int array of (i, j)
-    centroids: list          # per component: (x, y) float pair
-
-
-def _labeling(labels, count) -> SliceLabeling:
-    voxels = []
-    centroids = []
-    for lbl in range(1, count + 1):
-        pts = np.argwhere(labels == lbl)
-        voxels.append(pts)
-        centroids.append(_centroid(pts))
-    return SliceLabeling(labels, count, voxels, centroids)
-
-
 def _centroid(pts):
     return (float(pts[:, 0].mean()), float(pts[:, 1].mean()))
 
 
 def _label(slice_mask):
     return ndimage.label(np.asarray(slice_mask, dtype=bool), structure=_STRUCTURE_8)
-
-
-def label_components_2d(slice_mask) -> SliceLabeling:
-    """8-connectivity in-plane component labeling of one slice."""
-    return _labeling(*_label(slice_mask))
 
 
 def _component_at(labels, count, point):
@@ -63,12 +38,13 @@ def _component_at(labels, count, point):
         return labels[pi, pj]
     best = None
     best_dist = np.inf
-    for idx, pts in enumerate(_labeling(labels, count).voxels):
+    for lbl in range(1, count + 1):
+        pts = np.argwhere(labels == lbl)
         d = np.min(np.hypot(pts[:, 0] - point[0], pts[:, 1] - point[1]))
         if d < best_dist:
             best_dist = d
-            best = idx
-    return best + 1
+            best = lbl
+    return best
 
 
 def reduce_components(mask: BinaryMask, seed: VoxelIndex) -> BinaryMask:

@@ -3,7 +3,6 @@ Gaussian smoothing and the soft-tissue mask."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -11,24 +10,11 @@ from scipy.ndimage import correlate1d
 from .volumes import BinaryMask, ScalarVolume
 
 
-@dataclass
-class PreprocessConfig:
-    hu_clip_threshold: float = 120.0
-    tissue_interval: tuple = (5.0, 120.0)
-    sigma: float = 0.0
-    equalization_bins: int = 256
-
-    def __post_init__(self):
-        low, high = self.tissue_interval
-        if not low < high:
-            raise ValueError(f"tissue interval must satisfy low < high, got {self.tissue_interval}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.equalization_bins < 2:
-            raise ValueError("equalization_bins must be >= 2")
+# the soft-tissue window of the raw HU values, inclusive
+TISSUE_INTERVAL = (5.0, 120.0)
 
 
-def clip_hu(vol: ScalarVolume, threshold: float) -> ScalarVolume:
+def clip_hu(vol: ScalarVolume, threshold: float = 120.0) -> ScalarVolume:
     """Set every value strictly above `threshold` to 0 (bone suppression)."""
     out = vol.values.copy()
     out[out > threshold] = 0.0
@@ -83,19 +69,21 @@ def gaussian_smooth(vol: ScalarVolume, sigma: float) -> ScalarVolume:
     return ScalarVolume(out, vol.spacing)
 
 
-def tissue_mask(raw_vol: ScalarVolume, interval=(5.0, 120.0)) -> BinaryMask:
+def tissue_mask(raw_vol: ScalarVolume, interval=TISSUE_INTERVAL) -> BinaryMask:
     """Mask of voxels whose raw HU lies inside [low, high] (inclusive)."""
     low, high = interval
     vals = raw_vol.values
     return BinaryMask((vals >= low) & (vals <= high), raw_vol.spacing)
 
 
-def preprocess_pipeline(raw_vol: ScalarVolume, cfg: PreprocessConfig):
-    """Clip, equalize and smooth the raw volume; mask tissue from the raw HU.
+def preprocess_pipeline(raw_vol: ScalarVolume, sigma: float = 0.0):
+    """Clip, equalize and smooth the raw volume with the defaults of
+    `clip_hu` and `equalize_slices` and a Gaussian of `sigma`; mask tissue
+    from the raw HU inside `TISSUE_INTERVAL`.
 
     Returns (preprocessed image, tissue mask).
     """
-    clipped = clip_hu(raw_vol, cfg.hu_clip_threshold)
-    equalized = equalize_slices(clipped, cfg.equalization_bins)
-    smoothed = gaussian_smooth(equalized, cfg.sigma)
-    return smoothed, tissue_mask(raw_vol, cfg.tissue_interval)
+    clipped = clip_hu(raw_vol)
+    equalized = equalize_slices(clipped)
+    smoothed = gaussian_smooth(equalized, sigma)
+    return smoothed, tissue_mask(raw_vol)

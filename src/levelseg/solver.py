@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .active import STENCIL, ActiveSet
-from .preprocess import PreprocessConfig, preprocess_pipeline
+from .preprocess import preprocess_pipeline
 from .speed import Model, build_speed, cfl_dt
 from .volumes import BinaryMask, ScalarVolume, VoxelIndex
 
@@ -24,9 +24,18 @@ class BlowupError(Exception):
     pass
 
 
+# "stagnation" stops a loop once its mask has not changed for
+# `stagnation_window` steps
+EARLY_STOP_MODES = ("off", "stagnation")
+
+
 @dataclass
 class SolverConfig:
+    """Every setting of a run: the preprocessing `sigma`, the model and its
+    weights, the grid step, the seed sphere, the budget and the early stop."""
+
     model: Model = Model.GEODESIC1
+    sigma: float = 0.0
     mu: float = 1.0
     eta: float = 0.25
     epsilon: float = 0.05
@@ -34,16 +43,17 @@ class SolverConfig:
     dx: float = 0.1
     n_max: int = 400
     seed_radius_voxels: float = 5.0
-    curvature_delta: float = 1e-8
-    early_stop: str = "off"  # "off" | "stagnation"
+    early_stop: str = "off"  # one of EARLY_STOP_MODES
     stagnation_window: int = 50
 
     def __post_init__(self):
+        if self.sigma < 0:
+            raise ValueError("sigma must be >= 0")
         if self.dx <= 0:
             raise ValueError("dx must be > 0")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.early_stop not in ("off", "stagnation"):
+        if self.early_stop not in EARLY_STOP_MODES:
             raise ValueError(f"unknown early_stop mode '{self.early_stop}'")
         if self.stagnation_window < 1:
             raise ValueError("stagnation_window must be >= 1")
@@ -218,20 +228,6 @@ def curvature_3d(v, dx, delta=1e-8, work=None):
     return num
 
 
-# the work arrays of `step` and the kernels it calls, which a loop makes
-# before its first step, per model, as (name, rows, dtype), with None for
-# one row
-_COMMON_ARRAYS = (("avg", 3, float), ("t3", 3, float), ("s", None, float),
-                  ("h", None, float), ("finite", None, bool))
-_STEP_ARRAYS = {
-    Model.CLASSICAL: (("nb", 7, float),) + _COMMON_ARRAYS,
-    Model.GEODESIC1: (("nb", 7, float), ("mu_g", None, float)) + _COMMON_ARRAYS,
-    Model.GEODESIC2: (("nb", len(STENCIL), float), ("mu_g", None, float),
-                      ("grad", 3, float), ("squares", 5, float), ("pairs", 3, float),
-                      ("kappa", None, float)) + _COMMON_ARRAYS,
-}
-
-
 def with_workspace(fld: LevelSetField, act: ActiveSet) -> LevelSetField:
     """`fld` with a new `Workspace` for a loop that steps it on `act`: the
     field's grid and a copy are the two grids the steps alternate between,
@@ -266,7 +262,7 @@ def step(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float) -> Le
     faces = [(axis, f, (plus_nb[axis, f] - minus_nb[axis, f]) / cfg.dx)
              for axis, f in enumerate(act.on_face) if f.size]
     if second_order:
-        kappa = curvature_3d(nb, cfg.dx, cfg.curvature_delta, w)
+        kappa = curvature_3d(nb, cfg.dx, work=w)
         # the centred gradient of np.gradient: one-sided on a face
         grad = w("grad", 3)
         for axis, f, one_sided in faces:
@@ -302,7 +298,7 @@ def extract_mask(fld: LevelSetField) -> BinaryMask:
     return BinaryMask(fld.volume.values < 0, fld.volume.spacing)
 
 
-def _prepare(raw_vol: ScalarVolume, cfg: SolverConfig, seeds, pre_cfg):
+def _prepare(raw_vol: ScalarVolume, cfg: SolverConfig, seeds):
     """Check every seed, preprocess and build the speed field; return the
     time step and, per seed, its initial field and the components of the
     active set that field reaches, with the step's table built.  The
@@ -314,7 +310,7 @@ def _prepare(raw_vol: ScalarVolume, cfg: SolverConfig, seeds, pre_cfg):
     for seed in seeds:
         if not all(0 <= c < n for c, n in zip(seed.as_tuple(), raw_vol.dims)):
             raise SeedError(f"seed {seed.as_tuple()} lies outside the volume {tuple(raw_vol.dims)}")
-    image, tissue = preprocess_pipeline(raw_vol, pre_cfg or PreprocessConfig())
+    image, tissue = preprocess_pipeline(raw_vol, cfg.sigma)
     for seed in seeds:
         if not tissue.values[seed.i, seed.j, seed.k]:
             raise SeedError(f"seed {seed.as_tuple()} lies outside the tissue mask")
@@ -343,12 +339,6 @@ def _evolve_one(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float
     """Run up to n_max explicit steps from `fld`, a field from
     `with_workspace`, on `act`, or stop early once `abort` is set."""
     start = time.perf_counter()
-    # the work arrays, made on the loop's own thread before its first step.
-    # Made on the calling thread, a worker's arrays cost about 13% more
-    # minor page faults per `second-order` benchmark round than the
-    # per-axis step
-    for name, rows, dtype in _STEP_ARRAYS[cfg.model]:
-        fld.work(name, rows, dtype)
     if cfg.early_stop == "stagnation":
         values = fld.work("active_values")
         mask, prev_mask = fld.work("signs", 2, bool)
@@ -373,26 +363,24 @@ def _evolve_one(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float
     return EvolutionResult(extract_mask(fld), fld.n, elapsed, dt, act.index.size)
 
 
-def evolve(raw_vol: ScalarVolume, cfg: SolverConfig, seeds,
-           pre_cfg: PreprocessConfig = None) -> list[EvolutionResult]:
+def evolve(raw_vol: ScalarVolume, cfg: SolverConfig, seeds) -> list[EvolutionResult]:
     """Segment one region of `raw_vol` per `VoxelIndex` in `seeds`, with
     `cfg` for every seed; return one `EvolutionResult` per seed, in order.
     A run of one seed passes a list of one.
 
     Every seed is checked before any work starts.  The volume is
-    preprocessed (with `PreprocessConfig()` when `pre_cfg` is None) and
-    the speed field built once.  Each seed is then stepped only on the
-    18-connected components of the active set that its initial sphere
-    reaches (see `levelseg.active` for why the masks are unchanged).  The
-    first seed's loop runs on the calling thread and each further seed's
-    on a worker thread, each reading its own set, or one it shares
-    read-only with seeds that reach the same components.  numpy releases
-    the GIL inside its array loops, so the loops overlap.  When a loop
-    raises, the others stop at their next step and the exception
+    preprocessed and the speed field built once.  Each seed is then
+    stepped only on the 18-connected components of the active set that its
+    initial sphere reaches (see `levelseg.active` for why the masks are
+    unchanged).  The first seed's loop runs on the calling thread and each
+    further seed's on a worker thread, each reading its own set, or one it
+    shares read-only with seeds that reach the same components.  numpy
+    releases the GIL inside its array loops, so the loops overlap.  When a
+    loop raises, the others stop at their next step and the exception
     propagates.
     """
     seeds = list(seeds)
-    runs, dt = _prepare(raw_vol, cfg, seeds, pre_cfg)
+    runs, dt = _prepare(raw_vol, cfg, seeds)
     # every loop's two grids, made on this thread before any loop starts.
     # Made on a worker thread, in its own malloc arena, they raised the
     # `first-order` benchmark's peak RSS by about 2.3 MB

@@ -7,6 +7,7 @@ i + nx*(j + ny*k).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,12 +40,6 @@ class VoxelIndex:
 
     def as_tuple(self):
         return (self.i, self.j, self.k)
-
-
-def linear_index(dims, i, j, k):
-    """x-fastest linear index of voxel (i, j, k)."""
-    nx, ny, _ = dims
-    return i + nx * (j + ny * k)
 
 
 @dataclass
@@ -91,28 +86,45 @@ class BinaryMask:
 
 
 def _read_header(path: Path):
-    if not path.exists():
+    if not path.is_file():
         raise HeaderError(f"header file not found: {path}")
     try:
         header = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise HeaderError(f"malformed header {path}: {e}") from e
+    if not isinstance(header, dict):
+        raise HeaderError(f"header {path} is not a JSON object")
     for key in ("dims", "spacing", "dtype", "data"):
         if key not in header:
             raise HeaderError(f"header {path} missing field '{key}'")
     dims = header["dims"]
-    if len(dims) != 3 or any(int(d) <= 0 for d in dims):
-        raise HeaderError(f"header {path} has invalid dims {dims}")
-    if header["dtype"] not in _DTYPES:
-        raise HeaderError(f"unsupported dtype '{header['dtype']}' in {path}")
+    if not (_is_triple(dims, int) and all(d > 0 for d in dims)):
+        raise HeaderError(f"header {path} has invalid dims {dims}: "
+                          "expected three positive integers")
+    spacing = header["spacing"]
+    if not (_is_triple(spacing, (int, float))
+            and all(math.isfinite(s) and s > 0 for s in spacing)):
+        raise HeaderError(f"header {path} has invalid spacing {spacing}: "
+                          "expected three finite positive numbers")
+    if not isinstance(header["dtype"], str) or header["dtype"] not in _DTYPES:
+        raise HeaderError(f"unsupported dtype {header['dtype']!r} in {path}")
+    if not isinstance(header["data"], str):
+        raise HeaderError(f"header {path} has invalid data {header['data']!r}: "
+                          "expected a file name")
     return header
+
+
+def _is_triple(value, types):
+    """Whether `value` is a list of three numbers of `types`, bools excluded."""
+    return (isinstance(value, list) and len(value) == 3
+            and all(isinstance(v, types) and not isinstance(v, bool) for v in value))
 
 
 def _read_raw(header_path: Path, header):
     dims = tuple(int(d) for d in header["dims"])
     dtype = _DTYPES[header["dtype"]]
     raw_path = header_path.parent / header["data"]
-    if not raw_path.exists():
+    if not raw_path.is_file():
         raise HeaderError(f"raw file not found: {raw_path}")
     raw = raw_path.read_bytes()
     expected = dims[0] * dims[1] * dims[2] * dtype.itemsize

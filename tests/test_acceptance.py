@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist
 from levelseg.metrics import assd, dice, hausdorff, jaccard, surface_voxels
 from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
 from levelseg.postprocess import clean_spurious, postprocess
-from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
+from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import (
     LevelSetField,
     SolverConfig,
@@ -189,8 +189,8 @@ def _run_side(raw, spec_name, model, side, spec):
     params = SUITE_PARAMS[spec_name]
     n_max = (params["n_max_second_order"] if model is Model.GEODESIC2
              else params["n_max"])
-    cfg = SolverConfig(model=model, n_max=n_max)
-    return evolve(raw, cfg, [tube_seed(spec, side)], PreprocessConfig(sigma=params["sigma"]))[0]
+    cfg = SolverConfig(model=model, sigma=params["sigma"], n_max=n_max)
+    return evolve(raw, cfg, [tube_seed(spec, side)])[0]
 
 
 def test_criterion_phantom_end_to_end(record_criterion):
@@ -252,7 +252,7 @@ def test_criterion_cost_gap(record_criterion):
     raw, truth_left, _ = generate_phantom(spec)
     seed = tube_seed(spec, "left")
     sigma = SUITE_PARAMS["easy"]["sigma"]
-    image, tissue = preprocess_pipeline(raw, PreprocessConfig(sigma=sigma))
+    image, tissue = preprocess_pipeline(raw, sigma)
     speed = build_speed(image, tissue, 2, DX)
 
     def iterations_to_dice(model, n_cap, target=0.90):

@@ -1,5 +1,6 @@
 """End-to-end command-line interface checks."""
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from levelseg import cli, solver
 from levelseg.cli import _slice_contours, main
 from levelseg.metrics import dice
 from levelseg.phantom import SUITE_PARAMS
-from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
+from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import SolverConfig
 from levelseg.speed import Model, build_speed
 from levelseg.volumes import BinaryMask, VoxelIndex, load_mask, load_volume
@@ -85,8 +86,7 @@ def test_segment_end_to_end(phantom_dir, tmp_path, capsys):
     assert timing["sides"]["left"]["iterations"] == 250
     # each side steps the 18-connected component of the active set that
     # holds its seed; the two tubes' components make up the whole set
-    image, tissue = preprocess_pipeline(load_volume(phantom_dir / "volume.json"),
-                                        PreprocessConfig(sigma=1.75))
+    image, tissue = preprocess_pipeline(load_volume(phantom_dir / "volume.json"), 1.75)
     sp = build_speed(image, tissue)
     active = (sp.g != 0) | np.any([c != 0 for c in sp.grad_g], axis=0)
     labels, count = ndimage.label(active, ndimage.generate_binary_structure(3, 2))
@@ -116,11 +116,54 @@ def test_segment_manifest(phantom_dir, tmp_path):
         "input": volume, "out": str(out), "model": "gmfd2",
         "seed_left": [22, 40, 20], "seed_right": [57, 40, 20],
         "mu": 1.5, "eta": 0.5, "epsilon": 0.1, "p": 1, "sigma": 1.75, "dx": 0.2,
-        "n_max": 3, "seed_radius_voxels": 5.0, "curvature_delta": 1e-08,
+        "n_max": 3, "seed_radius_voxels": 5.0,
         "early_stop": "off", "stagnation_window": 50,
-        "hu_clip_threshold": 120.0, "tissue_interval": [5.0, 120.0],
-        "equalization_bins": 256, "postprocess": True, "start_slice": 19,
+        "postprocess": True, "start_slice": 19,
     }
+
+
+@pytest.fixture
+def evolve_configs(monkeypatch):
+    """The configs `segment` passes to `evolve`, in call order."""
+    configs = []
+    original = cli.evolve
+
+    def recording(raw, cfg, seeds):
+        configs.append(cfg)
+        return original(raw, cfg, seeds)
+
+    monkeypatch.setattr(cli, "evolve", recording)
+    return configs
+
+
+def test_segment_manifest_replays_the_run(phantom_dir, tmp_path, evolve_configs):
+    # the manifest holds every field of the config, so the run can be
+    # replayed from it alone
+    out = tmp_path / "run"
+    volume = phantom_dir / "volume.json"
+    assert main([
+        "segment", "--input", str(volume),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "gmfd1", "--nmax", "40", "--sigma", "1.75", "--mu", "1.5",
+        "--eta", "0.5", "--early-stop", "stagnation", "--stagnation-window", "5",
+        "--out", str(out),
+    ]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    fields = {f.name: manifest[f.name] for f in dataclasses.fields(SolverConfig)}
+    cfg = SolverConfig(**{**fields, "model": Model(fields["model"])})
+    assert evolve_configs == [cfg]
+    seeds = [VoxelIndex(*manifest["seed_left"]), VoxelIndex(*manifest["seed_right"])]
+    for side, result in zip(("left", "right"), solver.evolve(load_volume(volume), cfg, seeds)):
+        assert np.array_equal(load_mask(out / f"{side}.mask.json").values, result.mask.values)
+
+
+def test_segment_defaults_are_the_config_defaults(phantom_dir, tmp_path, evolve_configs):
+    assert main([
+        "segment", "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "gmfd2", "--nmax", "1", "--out", str(tmp_path / "run"),
+    ]) == 0
+    assert evolve_configs == [SolverConfig(model=Model.GEODESIC2, n_max=1)]
 
 
 @pytest.fixture(scope="module")
@@ -139,11 +182,10 @@ def stagnation_run(phantom_dir, tmp_path_factory):
 def test_segment_early_stop_stagnation_equals_evolve(phantom_dir, stagnation_run):
     # both sides stagnate before --nmax, with the masks and iteration
     # counts of `evolve` under the same config
-    cfg = SolverConfig(model=Model.CLASSICAL, n_max=400, early_stop="stagnation",
-                       stagnation_window=50)
+    cfg = SolverConfig(model=Model.CLASSICAL, sigma=1.75, n_max=400,
+                       early_stop="stagnation", stagnation_window=50)
     results = solver.evolve(load_volume(phantom_dir / "volume.json"), cfg,
-                            [VoxelIndex(22, 40, 20), VoxelIndex(57, 40, 20)],
-                            PreprocessConfig(sigma=1.75))
+                            [VoxelIndex(22, 40, 20), VoxelIndex(57, 40, 20)])
     timing = json.loads((stagnation_run / "timing.json").read_text())
     for side, result in zip(("left", "right"), results):
         assert timing["sides"][side]["iterations"] == result.iterations < cfg.n_max
@@ -170,6 +212,18 @@ def test_segment_bad_stagnation_window_is_one_line(phantom_dir, tmp_path, capsys
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: stagnation_window must be >= 1"]
+
+
+def test_segment_negative_sigma_is_one_line(phantom_dir, tmp_path, capsys):
+    rc = main([
+        "segment", "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "classical", "--nmax", "5", "--sigma", "-1",
+        "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: sigma must be >= 0"]
 
 
 def test_segment_gmfd2_logs_parabolic_dt(phantom_dir, tmp_path, capsys):
@@ -299,7 +353,21 @@ def _write_header(phantom_dir, tmp_path, edit):
     (lambda h: json.dumps(h)[:-5], "malformed header"),
     (lambda h: json.dumps({k: v for k, v in h.items() if k != "dims"}), "missing field 'dims'"),
     (lambda h: json.dumps({**h, "dims": [h["dims"][0] + 1] + h["dims"][1:]}), "expected"),
-], ids=["bad-json", "missing-field", "wrong-raw-size"])
+    (lambda h: "5", "not a JSON object"),
+    (lambda h: json.dumps({**h, "dims": 4}), "invalid dims"),
+    (lambda h: json.dumps({**h, "dims": [80.5] + h["dims"][1:]}), "invalid dims"),
+    (lambda h: json.dumps({**h, "dims": [True] + h["dims"][1:]}), "invalid dims"),
+    (lambda h: json.dumps({**h, "spacing": 1}), "invalid spacing"),
+    (lambda h: json.dumps({**h, "spacing": [1, 1]}), "invalid spacing"),
+    (lambda h: json.dumps({**h, "spacing": [0, 1, 1]}), "invalid spacing"),
+    (lambda h: json.dumps({**h, "spacing": [1, -1, 1]}), "invalid spacing"),
+    (lambda h: json.dumps({**h, "spacing": [1, 1, float("nan")]}), "invalid spacing"),
+    (lambda h: json.dumps({**h, "dtype": ["u8"]}), "unsupported dtype"),
+    (lambda h: json.dumps({**h, "data": 5}), "invalid data"),
+    (lambda h: json.dumps({**h, "data": "."}), "raw file not found"),
+], ids=["bad-json", "missing-field", "wrong-raw-size", "not-an-object", "dims-number",
+        "dims-float", "dims-bool", "spacing-number", "spacing-two", "spacing-zero",
+        "spacing-negative", "spacing-nan", "dtype-list", "data-number", "data-directory"])
 def test_segment_malformed_header_is_one_line(phantom_dir, tmp_path, capsys, edit, message):
     rc = main([
         "segment", "--input", str(_write_header(phantom_dir, tmp_path, edit)),
@@ -348,6 +416,13 @@ def test_bench_iters_cover_both_sides(monkeypatch, capsys):
     # phantom, model, n_max, iters, wall_s, dice_L, dice_R
     assert {(r[1], int(r[2]), int(r[3])) for r in rows} == {
         ("classical", 2, 4), ("gmfd1", 2, 4), ("gmfd2", 3, 6)}
+
+
+def test_bench_unknown_phantom_is_one_line(capsys):
+    assert main(["bench", "--phantom", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: unknown suite phantom 'nope'"]
 
 
 def test_metrics_self(phantom_dir, capsys):

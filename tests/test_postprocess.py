@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from levelseg.postprocess import (
     TOLERANCE_CONSTANT,
     PostprocessError,
+    _label,
     clean_spurious,
-    label_components_2d,
     postprocess,
     reduce_components,
 )
@@ -57,35 +58,35 @@ def _flood_count(slice_mask):
 # --------------------------------------------------------------- labeling
 
 def test_label_empty():
-    out = label_components_2d(np.zeros((5, 5), dtype=bool))
-    assert out.count == 0
-    assert out.voxels == [] and out.centroids == []
+    labels, count = _label(np.zeros((5, 5), dtype=bool))
+    assert count == 0
+    assert not labels.any()
 
 
 def test_label_two_blobs():
     sl = np.zeros((5, 7), dtype=bool)
     sl[1:3, 1:3] = True
     sl[1:3, 5:7] = True
-    out = label_components_2d(sl)
-    assert out.count == 2
-    assert sorted(len(v) for v in out.voxels) == [4, 4]
+    labels, count = _label(sl)
+    assert count == 2
+    assert sorted(np.bincount(labels.ravel())[1:]) == [4, 4]
 
 
 def test_label_diagonal_is_connected():
     sl = np.zeros((4, 4), dtype=bool)
     sl[0, 0] = sl[1, 1] = sl[2, 2] = True
-    out = label_components_2d(sl)
-    assert out.count == 1
-    assert out.centroids[0] == (1.0, 1.0)
+    labels, count = _label(sl)
+    assert count == 1
+    assert np.array_equal(np.argwhere(labels == 1), [[0, 0], [1, 1], [2, 2]])
 
 
 def test_label_all_foreground_labeled():
     rng = np.random.default_rng(2)
     sl = rng.random((12, 12)) < 0.4
-    out = label_components_2d(sl)
-    assert np.array_equal(out.labels > 0, sl)
-    ids = np.unique(out.labels)
-    assert set(ids) <= set(range(out.count + 1))
+    labels, count = _label(sl)
+    assert np.array_equal(labels > 0, sl)
+    ids = np.unique(labels)
+    assert set(ids) <= set(range(count + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,7 +94,7 @@ def test_label_all_foreground_labeled():
 def test_label_count_matches_flood_fill(seed, density):
     rng = np.random.default_rng(seed)
     sl = rng.random((10, 10)) < density
-    assert label_components_2d(sl).count == _flood_count(sl)
+    assert _label(sl)[1] == _flood_count(sl)
 
 
 # ------------------------------------------------------- reduce_components
@@ -337,13 +338,20 @@ def _clean_spurious_batched(mask, start_slice, direction=1):
 def _reduce_components_all(mask, seed):
     """Frozen copy of the reduction that labels every component of each
     slice and computes every centroid."""
-    def select(labeling, point):
+    def labeling(sl):
+        # 8-connected labels, and each component's voxels and centroid
+        labels, count = ndimage.label(sl, structure=np.ones((3, 3), dtype=int))
+        voxels = [np.argwhere(labels == lbl) for lbl in range(1, count + 1)]
+        centroids = [(float(v[:, 0].mean()), float(v[:, 1].mean())) for v in voxels]
+        return labels, count, voxels, centroids
+
+    def select(labels, voxels, point):
         pi, pj = int(round(point[0])), int(round(point[1]))
-        ni, nj = labeling.labels.shape
-        if 0 <= pi < ni and 0 <= pj < nj and labeling.labels[pi, pj] > 0:
-            return labeling.labels[pi, pj] - 1
+        ni, nj = labels.shape
+        if 0 <= pi < ni and 0 <= pj < nj and labels[pi, pj] > 0:
+            return labels[pi, pj] - 1
         best, best_dist = None, np.inf
-        for idx, pts in enumerate(labeling.voxels):
+        for idx, pts in enumerate(voxels):
             d = np.min(np.hypot(pts[:, 0] - point[0], pts[:, 1] - point[1]))
             if d < best_dist:
                 best_dist, best = d, idx
@@ -352,20 +360,20 @@ def _reduce_components_all(mask, seed):
     vals = mask.values
     nz = vals.shape[2]
     out = np.zeros_like(vals)
-    labeling = label_components_2d(vals[:, :, seed.k])
-    seed_lbl = labeling.labels[seed.i, seed.j]
-    out[:, :, seed.k] = labeling.labels == seed_lbl
-    seed_centroid = labeling.centroids[seed_lbl - 1]
+    labels, _, _, centroids = labeling(vals[:, :, seed.k])
+    seed_lbl = labels[seed.i, seed.j]
+    out[:, :, seed.k] = labels == seed_lbl
+    seed_centroid = centroids[seed_lbl - 1]
     for direction in (1, -1):
         centroid = seed_centroid
         k = seed.k + direction
         while 0 <= k < nz:
-            labeling = label_components_2d(vals[:, :, k])
-            if labeling.count == 0:
+            labels, count, voxels, centroids = labeling(vals[:, :, k])
+            if count == 0:
                 break
-            comp = select(labeling, centroid)
-            out[:, :, k] = labeling.labels == comp + 1
-            centroid = labeling.centroids[comp]
+            comp = select(labels, voxels, centroid)
+            out[:, :, k] = labels == comp + 1
+            centroid = centroids[comp]
             k += direction
     return BinaryMask(out, mask.spacing)
 
@@ -507,7 +515,7 @@ def test_postprocess_at_most_one_component_per_slice():
         vals[:, :, k] |= rng.random((14, 14)) < 0.08
     out = reduce_components(_mask(vals), VoxelIndex(7, 7, 3))
     for k in range(6):
-        assert label_components_2d(out.values[:, :, k]).count <= 1
+        assert _label(out.values[:, :, k])[1] <= 1
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelseg.preprocess import (
-    PreprocessConfig,
     clip_hu,
     equalize_slices,
     gaussian_smooth,
@@ -196,33 +195,21 @@ def test_tissue_mask_counting_oracle():
 # ---------------------------------------------------------------- pipeline
 
 def test_pipeline_composition():
+    # the clip threshold, the bin count and the tissue window are the
+    # paper's constants
     vol = _random_vol(23)
-    cfg = PreprocessConfig(sigma=1.0)
-    image, tissue = preprocess_pipeline(vol, cfg)
-    by_hand = gaussian_smooth(
-        equalize_slices(clip_hu(vol, cfg.hu_clip_threshold), cfg.equalization_bins),
-        cfg.sigma,
-    )
+    image, tissue = preprocess_pipeline(vol, 1.0)
+    by_hand = gaussian_smooth(equalize_slices(clip_hu(vol, 120.0), 256), 1.0)
     assert np.array_equal(image.values, by_hand.values)
-    assert np.array_equal(tissue.values, tissue_mask(vol, cfg.tissue_interval).values)
+    assert np.array_equal(tissue.values, tissue_mask(vol, (5.0, 120.0)).values)
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31),
-       sigma=st.one_of(st.just(0.0), st.floats(0.3, 2.0)),
-       bins=st.integers(8, 256))
-def test_tissue_mask_invariant_under_smoothing_params(seed, sigma, bins):
-    # the mask is built from the raw HU, so sigma/bins must not affect it
+       sigma=st.one_of(st.just(0.0), st.floats(0.3, 2.0)))
+def test_tissue_mask_invariant_under_smoothing_params(seed, sigma):
+    # the mask is built from the raw HU, so sigma must not affect it
     vol = _random_vol(seed)
-    _, mask_a = preprocess_pipeline(vol, PreprocessConfig(sigma=sigma, equalization_bins=bins))
-    _, mask_b = preprocess_pipeline(vol, PreprocessConfig())
+    _, mask_a = preprocess_pipeline(vol, sigma)
+    _, mask_b = preprocess_pipeline(vol)
     assert np.array_equal(mask_a.values, mask_b.values)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        PreprocessConfig(tissue_interval=(120.0, 5.0))
-    with pytest.raises(ValueError):
-        PreprocessConfig(sigma=-0.5)
-    with pytest.raises(ValueError):
-        PreprocessConfig(equalization_bins=1)

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
-from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
+from levelseg.preprocess import preprocess_pipeline
+from levelseg.solver import SolverConfig
 from levelseg.speed import Model, build_speed, cfl_dt
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -24,11 +25,12 @@ def cost_gap():
 def test_cost_gap_profile_runs_on_easy(cost_gap, model):
     spec = suite_spec("easy")
     raw, truth, _ = generate_phantom(spec)
-    image, tissue = preprocess_pipeline(raw, PreprocessConfig(sigma=SUITE_PARAMS["easy"]["sigma"]))
-    speed = build_speed(image, tissue, 2, cost_gap.DX)
+    image, tissue = preprocess_pipeline(raw, SUITE_PARAMS["easy"]["sigma"])
+    cfg = SolverConfig(model=model)
+    speed = build_speed(image, tissue, cfg.p, cfg.dx)
     dt, curve, crossing, wall = cost_gap.profile(model, raw, speed, tube_seed(spec, "left"),
                                                  truth, n_max=20)
-    assert dt == cfl_dt(speed, model, dx=cost_gap.DX)
+    assert dt == cfl_dt(speed, model, cfg.mu, cfg.eta, cfg.dx)
     assert [n for n, _ in curve] == [10, 20]
     assert all(0.0 < d <= 1.0 for _, d in curve)
     assert crossing is None or crossing[0] in (10, 20)

@@ -16,7 +16,7 @@ from levelseg.active import CONNECTIVITY
 from levelseg.metrics import dice
 from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
 from levelseg.postprocess import postprocess
-from levelseg.preprocess import PreprocessConfig, preprocess_pipeline
+from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import (
     BlowupError,
     LevelSetField,
@@ -330,7 +330,7 @@ def _full_grid_step(fld, speed, cfg, dt):
     g = speed.g
     h = llf_hamiltonian(cfg.model, g, speed.grad_g, _full_grid_upwind(u, cfg.dx), cfg.mu, cfg.eta)
     if cfg.model is Model.GEODESIC2:
-        kappa = _full_grid_curvature(u, cfg.dx, cfg.curvature_delta)
+        kappa = _full_grid_curvature(u, cfg.dx, 1e-8)
         cx, cy, cz = np.gradient(u, cfg.dx)
         grad_norm = np.sqrt(cx * cx + cy * cy + cz * cz)
         h = h - cfg.epsilon * g * grad_norm * kappa
@@ -366,7 +366,7 @@ def test_step_equals_full_grid_oracle(model, dims, density, seed):
 def easy_speed():
     spec = suite_spec("easy")
     raw, _, _ = generate_phantom(spec)
-    image, tissue = preprocess_pipeline(raw, PreprocessConfig(sigma=SUITE_PARAMS["easy"]["sigma"]))
+    image, tissue = preprocess_pipeline(raw, SUITE_PARAMS["easy"]["sigma"])
     return raw, tube_seed(spec, "left"), build_speed(image, tissue)
 
 
@@ -443,20 +443,19 @@ def test_gmfd1_geodesic_bias_is_the_zero_speed_ring(easy_speed):
     raw, seed, sp = easy_speed
     _, truth, _ = generate_phantom(suite_spec("easy"))
     params = SUITE_PARAMS["easy"]
-    pre_cfg = PreprocessConfig(sigma=params["sigma"])
     gx, gy, gz = sp.grad_g
     active = (sp.g != 0) | (gx != 0) | (gy != 0) | (gz != 0)
     labels, _ = ndimage.label(active, CONNECTIVITY)
     component = labels == labels[seed.as_tuple()]
     ring = sp.g == 0
-    geodesic, = evolve(raw, SolverConfig(model=Model.GEODESIC1, n_max=params["n_max"]),
-                       [seed], pre_cfg)
+    geodesic, = evolve(raw, SolverConfig(model=Model.GEODESIC1, sigma=params["sigma"],
+                                         n_max=params["n_max"]), [seed])
     mask = geodesic.mask.values
     assert np.array_equal(mask, component) and mask.sum() == 18_081
     outside = mask & ~truth.values
     assert np.array_equal(outside, mask & ring) and outside.sum() == 2_624
-    classical, = evolve(raw, SolverConfig(model=Model.CLASSICAL, n_max=params["n_max"]),
-                        [seed], pre_cfg)
+    classical, = evolve(raw, SolverConfig(model=Model.CLASSICAL, sigma=params["sigma"],
+                                          n_max=params["n_max"]), [seed])
     assert not (classical.mask.values & ring).any()
 
 
@@ -553,7 +552,7 @@ def _whole_set_loop(sp, dims, cfg, seed, act=None):
 
 def _whole_set_reference(vol, cfg, seed):
     """`_whole_set_loop` on the speed field `evolve` builds for `vol`."""
-    image, tissue = preprocess_pipeline(vol, PreprocessConfig())
+    image, tissue = preprocess_pipeline(vol, cfg.sigma)
     sp = build_speed(image, tissue, cfg.p, cfg.dx)
     return _whole_set_loop(sp, vol.dims, cfg, seed), sp
 
@@ -576,7 +575,7 @@ def test_evolve_seeds_shared_component_steps_whole_set(model):
     vol = _uniform_phantom()
     seeds = [VoxelIndex(12, 12, 12), VoxelIndex(9, 14, 11)]
     cfg = SolverConfig(model=model, n_max=40)
-    runs, _ = solver._prepare(vol, cfg, seeds, None)
+    runs, _ = solver._prepare(vol, cfg, seeds)
     (_, left), (_, right) = runs
     results = evolve(vol, cfg, seeds)
     for seed, result, act in zip(seeds, results, (left, right)):
@@ -830,7 +829,7 @@ def _step_per_axis_reference(fld, act, cfg, dt):
     diffs = _face_diffs_reference(c, row, act.on_face, cfg.dx)
     h = _llf_row_wise(cfg.model, act.g, act.grad_g, diffs, cfg.mu, cfg.eta)
     if cfg.model is Model.GEODESIC2:
-        kappa = _curvature_row_wise(nb, cfg.dx, cfg.curvature_delta)
+        kappa = _curvature_row_wise(nb, cfg.dx, 1e-8)
         centred = []
         for axis, f in enumerate(act.on_face):
             p, m = nb[1 + 2 * axis], nb[2 + 2 * axis]
@@ -938,14 +937,16 @@ def test_hard_phantom_left_dice_floors(model):
     params = SUITE_PARAMS["hard"]
     n_max = params["n_max_second_order"] if model is Model.GEODESIC2 else params["n_max"]
     seed = tube_seed(spec, "left")
-    result, = evolve(raw, SolverConfig(model=model, n_max=n_max), [seed],
-                     PreprocessConfig(sigma=params["sigma"]))
+    result, = evolve(raw, SolverConfig(model=model, sigma=params["sigma"], n_max=n_max),
+                     [seed])
     raw_floor, cleaned_floor = HARD_LEFT_DICE_FLOORS[model]
     assert dice(result.mask, truth) >= raw_floor
     assert dice(postprocess(result.mask, seed), truth) >= cleaned_floor
 
 
 def test_solver_config_validation():
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        SolverConfig(sigma=-0.5)
     with pytest.raises(ValueError):
         SolverConfig(dx=0.0)
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Volume containers, linear indexing and the header+raw file format."""
+"""Volume containers and the header+raw file format."""
 import json
 
 import numpy as np
@@ -13,20 +13,10 @@ from levelseg.volumes import (
     ScalarVolume,
     VolumeError,
     VoxelIndex,
-    linear_index,
     load_mask,
     load_volume,
     store_volume,
 )
-
-
-def test_linear_index_x_fastest():
-    dims = (4, 5, 6)
-    assert linear_index(dims, 0, 0, 0) == 0
-    assert linear_index(dims, 1, 0, 0) == 1
-    assert linear_index(dims, 0, 1, 0) == 4
-    assert linear_index(dims, 0, 0, 1) == 20
-    assert linear_index(dims, 3, 4, 5) == 4 * 5 * 6 - 1
 
 
 def test_scalar_volume_validation():
@@ -77,11 +67,8 @@ def test_round_trip_mask(tmp_path):
 def test_raw_layout_is_x_fastest(tmp_path):
     # voxel (i,j,k) stored at linear offset i + nx*(j + ny*k)
     dims = (3, 4, 5)
-    ramp = np.zeros(dims)
-    for k in range(dims[2]):
-        for j in range(dims[1]):
-            for i in range(dims[0]):
-                ramp[i, j, k] = linear_index(dims, i, j, k)
+    i, j, k = np.indices(dims)
+    ramp = i + dims[0] * (j + dims[1] * k)
     store_volume(ScalarVolume(ramp), tmp_path / "r.json", dtype="f32")
     raw = (tmp_path / "r.raw").read_bytes()
     flat = np.frombuffer(raw, dtype="<f4")
@@ -105,6 +92,8 @@ def test_raw_size_mismatch(tmp_path):
 def test_missing_header(tmp_path):
     with pytest.raises(HeaderError):
         load_volume(tmp_path / "nope.json")
+    with pytest.raises(HeaderError):
+        load_volume(tmp_path)  # a directory, not a header file
 
 
 def test_malformed_header(tmp_path):
