@@ -13,6 +13,7 @@ from levelseg.preprocess import (
     preprocess_pipeline,
     tissue_mask,
 )
+from levelseg.solver import SolverConfig
 from levelseg.volumes import ScalarVolume
 
 
@@ -203,6 +204,15 @@ def test_pipeline_composition():
     assert np.array_equal(image.values, by_hand.values)
     assert np.array_equal(tissue.values, tissue_mask(vol, (5.0, 120.0)).values)
 
+
+def test_config_validation():
+    # sigma is the one preprocessing setting a run chooses; it is checked
+    # both where it is configured and where the pipeline consumes it
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        SolverConfig(sigma=-0.5)
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        preprocess_pipeline(_random_vol(5), sigma=-0.5)
+    assert SolverConfig(sigma=0.0).sigma == 0.0
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31),
