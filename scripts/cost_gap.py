@@ -14,22 +14,21 @@ import time
 import numpy as np
 
 from levelseg.metrics import dice
-from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
+from levelseg.phantom import generate_phantom, suite_config, suite_spec, tube_seed
 from levelseg.preprocess import preprocess_pipeline
-from levelseg.solver import SolverConfig, extract_mask, init_levelset, step
+from levelseg.solver import extract_mask, init_levelset, step
 from levelseg.speed import Model, build_speed, cfl_dt
 
 TARGET = 0.90
 
 
-def profile(model, raw, speed, seed, truth, n_max, check_every=10):
-    cfg = SolverConfig(model=model)
-    fld = init_levelset(raw.dims, cfg.dx, seed, cfg.seed_radius_voxels)
-    dt = cfl_dt(speed, model, cfg.mu, cfg.eta, cfg.dx)
+def profile(cfg, raw, speed, seed, truth, check_every=10):
+    fld = init_levelset(raw.dims, seed, cfg, raw.spacing)
+    dt = cfl_dt(speed, cfg)
     crossing = None
     t0 = time.perf_counter()
     curve = []
-    for n in range(1, n_max + 1):
+    for n in range(1, cfg.n_max + 1):
         fld = step(fld, speed.active, cfg, dt)
         if n % check_every == 0:
             d = dice(extract_mask(fld), truth)
@@ -47,25 +46,23 @@ def main():
     args = parser.parse_args()
 
     spec = suite_spec(args.phantom)
-    params = SUITE_PARAMS[args.phantom]
     raw, truth_left, truth_right = generate_phantom(spec)
     truth = truth_left if args.side == "left" else truth_right
     seed = tube_seed(spec, args.side)
-    image, tissue = preprocess_pipeline(raw, params["sigma"])
-    defaults = SolverConfig()
-    speed = build_speed(image, tissue, defaults.p, defaults.dx)
+    configs = [suite_config(args.phantom, model) for model in Model]
+    # the suite configs differ only in model and budget: one speed field
+    image, tissue = preprocess_pipeline(raw, configs[0].sigma)
+    speed = build_speed(image, tissue, configs[0])
 
     crossings = {}
-    for model in Model:
-        n_max = (params["n_max_second_order"] if model is Model.GEODESIC2
-                 else params["n_max"])
-        dt, curve, crossing, wall = profile(model, raw, speed, seed, truth, n_max)
-        print(f"\n{model.value}: dt = {dt:.5g}, {n_max} iterations, {wall:.1f}s")
+    for cfg in configs:
+        dt, curve, crossing, wall = profile(cfg, raw, speed, seed, truth)
+        print(f"\n{cfg.model.value}: dt = {dt:.5g}, {cfg.n_max} iterations, {wall:.1f}s")
         for n, d in curve[:: max(1, len(curve) // 10)]:
             print(f"  n={n:5d}  dice={d:.4f}")
         if crossing:
             print(f"  reached {TARGET} at n={crossing[0]} ({crossing[1]:.1f}s)")
-            crossings[model] = crossing
+            crossings[cfg.model] = crossing
         else:
             print(f"  never reached {TARGET}")
 

@@ -14,17 +14,17 @@ import numpy as np
 
 from .metrics import MetricsError, compute_report, dice
 from .phantom import (
-    SUITE_PARAMS,
     PhantomError,
     default_suite,
     generate_phantom,
     load_spec,
     spec_to_json,
+    suite_config,
     suite_spec,
     tube_seed,
 )
 from .postprocess import PostprocessError, check_start_slice, postprocess
-from .solver import EARLY_STOP_MODES, BlowupError, SeedError, SolverConfig, evolve
+from .solver import BlowupError, SeedError, SolverConfig, evolve
 from .speed import DegenerateSpeedError, Model
 from .volumes import BinaryMask, VolumeError, VoxelIndex, load_mask, load_volume, store_volume
 
@@ -69,13 +69,10 @@ def cmd_segment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg = SolverConfig(model=Model(args.model), sigma=args.sigma, mu=args.mu,
                        eta=args.eta, epsilon=args.epsilon, p=args.p, dx=args.dx,
-                       n_max=args.nmax, early_stop=args.early_stop,
-                       stagnation_window=args.stagnation_window)
+                       n_max=args.nmax, stagnation_window=args.stagnation_window)
     raw = load_volume(args.input)
     if args.postprocess and args.start_slice is not None:
         check_start_slice(args.start_slice, raw.dims[2])
-    if args.model == "gmfd2":
-        _log(f"parabolic CFL: dt = 0.25*dx^2 = {0.25 * args.dx * args.dx}")
 
     timing = {"model": args.model, "n_max": args.nmax, "sides": {}}
     merged = np.zeros(raw.dims, dtype=bool)
@@ -132,18 +129,13 @@ def cmd_bench(args) -> int:
     print("-" * len(header))
     for spec in specs:
         raw, truth_left, truth_right = generate_phantom(spec)
-        params = SUITE_PARAMS[spec.name]
         for model in Model:
-            # classical and gmfd1 share the first-order budget; the
-            # parabolic time step needs its own, larger one
-            n_max = (params["n_max_second_order"] if model is Model.GEODESIC2
-                     else params["n_max"])
-            cfg = SolverConfig(model=model, sigma=params["sigma"], n_max=n_max)
+            cfg = suite_config(spec.name, model)
             seeds = [tube_seed(spec, "left"), tube_seed(spec, "right")]
             start = time.perf_counter()
             left, right = evolve(raw, cfg, seeds)
             wall = time.perf_counter() - start
-            print(f"{spec.name:<8} {model.value:<10} {n_max:>6} "
+            print(f"{spec.name:<8} {model.value:<10} {cfg.n_max:>6} "
                   f"{left.iterations + right.iterations:>6} {wall:>8.2f} "
                   f"{dice(left.mask, truth_left):>7.4f} {dice(right.mask, truth_right):>7.4f}")
     return 0
@@ -177,10 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("--seed-right", required=True, type=_parse_seed)
     seg.add_argument("--model", required=True, choices=[m.value for m in Model])
     seg.add_argument("--nmax", required=True, type=int)
-    seg.add_argument("--early-stop", choices=EARLY_STOP_MODES, default=defaults.early_stop,
-                     help="stop a side once its mask has not changed for "
-                          "--stagnation-window steps")
-    seg.add_argument("--stagnation-window", type=int, default=defaults.stagnation_window)
+    seg.add_argument("--stagnation-window", type=int, default=defaults.stagnation_window,
+                     help="stop a side once its mask has not changed for this "
+                          "many steps; 0 never stops early")
     seg.add_argument("--p", type=int, default=defaults.p)
     seg.add_argument("--sigma", type=float, default=defaults.sigma)
     seg.add_argument("--mu", type=float, default=defaults.mu)

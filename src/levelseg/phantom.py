@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .preprocess import TISSUE_INTERVAL
+from .solver import SolverConfig
+from .speed import Model
 from .volumes import BinaryMask, ScalarVolume, VoxelIndex
 
 
@@ -62,8 +64,6 @@ class PhantomSpec:
     noise_std: float = 10.0
     rng_seed: int = 0
     air_border: int = 2
-    rim_width: float = 0.0   # annulus outside each tube, softens the edge
-    rim_hu: float = -10.0
 
     def __post_init__(self):
         if len(self.tubes) != 2:
@@ -135,11 +135,6 @@ def generate_phantom(spec: PhantomSpec):
 
     for tube in spec.distractors:
         vol[_tube_mask(spec.dims, tube)] = spec.hu_muscle
-
-    if spec.rim_width > 0:
-        for t in spec.tubes:
-            widened = TubeSpec(t.centers, [r + spec.rim_width for r in t.radii])
-            vol[_tube_mask(spec.dims, widened)] = spec.rim_hu
 
     tube_masks = [_tube_mask(spec.dims, t) for t in spec.tubes]
     if np.any(tube_masks[0] & tube_masks[1]):
@@ -253,6 +248,14 @@ SUITE_PARAMS = {
     "medium": {"sigma": 1.75, "n_max": 500, "n_max_second_order": 2500},
     "hard": {"sigma": 1.75, "n_max": 500, "n_max_second_order": 2500},
 }
+
+
+def suite_config(name: str, model: Model) -> SolverConfig:
+    """The config of a suite run of `model` on the phantom `name`: its
+    `SUITE_PARAMS` sigma and budget, the second-order one for `gmfd2`."""
+    params = SUITE_PARAMS[name]
+    budget = "n_max_second_order" if model is Model.GEODESIC2 else "n_max"
+    return SolverConfig(model=model, sigma=params["sigma"], n_max=params[budget])
 
 
 def suite_spec(name: str) -> PhantomSpec:

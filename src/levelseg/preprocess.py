@@ -10,39 +10,42 @@ from scipy.ndimage import correlate1d
 from .volumes import BinaryMask, ScalarVolume
 
 
-# the soft-tissue window of the raw HU values, inclusive
+# the paper's constants: the raw-HU soft-tissue window (inclusive), the HU
+# above which `clip_hu` takes a voxel for bone, the bins of a slice histogram
 TISSUE_INTERVAL = (5.0, 120.0)
+CLIP_THRESHOLD = 120.0
+EQUALIZATION_BINS = 256
 
 
-def clip_hu(vol: ScalarVolume, threshold: float = 120.0) -> ScalarVolume:
-    """Set every value strictly above `threshold` to 0 (bone suppression)."""
+def clip_hu(vol: ScalarVolume) -> ScalarVolume:
+    """Zero every value strictly above `CLIP_THRESHOLD` (bone suppression)."""
     out = vol.values.copy()
-    out[out > threshold] = 0.0
+    out[out > CLIP_THRESHOLD] = 0.0
     return ScalarVolume(out, vol.spacing)
 
 
-def _equalize_slice(sl, bins):
+def _equalize_slice(sl):
     lo = sl.min()
     hi = sl.max()
     if hi <= lo:
         return np.zeros_like(sl)
-    idx = ((sl - lo) / (hi - lo) * bins).astype(np.int64)
-    np.minimum(idx, bins - 1, out=idx)
-    counts = np.bincount(idx.ravel(), minlength=bins)
+    idx = ((sl - lo) / (hi - lo) * EQUALIZATION_BINS).astype(np.int64)
+    np.minimum(idx, EQUALIZATION_BINS - 1, out=idx)
+    counts = np.bincount(idx.ravel(), minlength=EQUALIZATION_BINS)
     cdf = np.cumsum(counts) / sl.size
     return cdf[idx]
 
 
-def equalize_slices(vol: ScalarVolume, bins: int = 256) -> ScalarVolume:
+def equalize_slices(vol: ScalarVolume) -> ScalarVolume:
     """Histogram-equalize each z-slice independently.
 
-    Each slice is mapped through its own empirical CDF over `bins`
-    equal-width bins spanning that slice's [min, max]; output lies in
-    [0, 1] and a constant slice maps to all zeros.
+    Each slice is mapped through its own empirical CDF over
+    `EQUALIZATION_BINS` equal-width bins spanning that slice's [min, max];
+    output lies in [0, 1] and a constant slice maps to all zeros.
     """
     out = np.empty_like(vol.values)
     for k in range(vol.dims[2]):
-        out[:, :, k] = _equalize_slice(vol.values[:, :, k], bins)
+        out[:, :, k] = _equalize_slice(vol.values[:, :, k])
     return ScalarVolume(out, vol.spacing)
 
 
@@ -69,17 +72,16 @@ def gaussian_smooth(vol: ScalarVolume, sigma: float) -> ScalarVolume:
     return ScalarVolume(out, vol.spacing)
 
 
-def tissue_mask(raw_vol: ScalarVolume, interval=TISSUE_INTERVAL) -> BinaryMask:
-    """Mask of voxels whose raw HU lies inside [low, high] (inclusive)."""
-    low, high = interval
+def tissue_mask(raw_vol: ScalarVolume) -> BinaryMask:
+    """Mask of voxels whose raw HU lies inside `TISSUE_INTERVAL`."""
+    low, high = TISSUE_INTERVAL
     vals = raw_vol.values
     return BinaryMask((vals >= low) & (vals <= high), raw_vol.spacing)
 
 
-def preprocess_pipeline(raw_vol: ScalarVolume, sigma: float = 0.0):
-    """Clip, equalize and smooth the raw volume with the defaults of
-    `clip_hu` and `equalize_slices` and a Gaussian of `sigma`; mask tissue
-    from the raw HU inside `TISSUE_INTERVAL`.
+def preprocess_pipeline(raw_vol: ScalarVolume, sigma: float):
+    """Clip and equalize the raw volume and smooth it with a Gaussian of
+    `sigma`; mask tissue from the raw HU inside `TISSUE_INTERVAL`.
 
     Returns (preprocessed image, tissue mask).
     """

@@ -24,15 +24,15 @@ class BlowupError(Exception):
     pass
 
 
-# "stagnation" stops a loop once its mask has not changed for
-# `stagnation_window` steps
-EARLY_STOP_MODES = ("off", "stagnation")
+CURVATURE_DELTA = 1e-8  # regularizes the curvature where |Dv| vanishes
 
 
 @dataclass
 class SolverConfig:
-    """Every setting of a run: the preprocessing `sigma`, the model and its
-    weights, the grid step, the seed sphere, the budget and the early stop."""
+    """Every setting of a run, each defined here once: the preprocessing
+    `sigma`, the model and its weights, the speed exponent, the grid step,
+    the seed sphere, the budget and the early stop (once the mask has not
+    changed for `stagnation_window` steps; 0 never stops early)."""
 
     model: Model = Model.GEODESIC1
     sigma: float = 0.0
@@ -43,20 +43,19 @@ class SolverConfig:
     dx: float = 0.1
     n_max: int = 400
     seed_radius_voxels: float = 5.0
-    early_stop: str = "off"  # one of EARLY_STOP_MODES
-    stagnation_window: int = 50
+    stagnation_window: int = 0
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
+        if self.p < 1:
+            raise ValueError("p must be >= 1")
         if self.dx <= 0:
             raise ValueError("dx must be > 0")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.early_stop not in EARLY_STOP_MODES:
-            raise ValueError(f"unknown early_stop mode '{self.early_stop}'")
-        if self.stagnation_window < 1:
-            raise ValueError("stagnation_window must be >= 1")
+        if self.stagnation_window < 0:
+            raise ValueError("stagnation_window must be >= 0")
 
 
 class Workspace:
@@ -109,16 +108,15 @@ def _check_margin(dims, seed: VoxelIndex, radius_voxels):
             )
 
 
-def init_levelset(dims, dx, seed: VoxelIndex, radius_voxels=5.0,
-                  spacing=(1.0, 1.0, 1.0)) -> LevelSetField:
-    """Signed distance to a sphere of `radius_voxels` voxels centered at
-    `seed`, in grid units (negative inside)."""
-    _check_margin(dims, seed, radius_voxels)
+def init_levelset(dims, seed: VoxelIndex, cfg: SolverConfig, spacing) -> LevelSetField:
+    """Signed distance to a sphere of `cfg.seed_radius_voxels` voxels
+    centered at `seed`, in grid units of `cfg.dx` (negative inside)."""
+    _check_margin(dims, seed, cfg.seed_radius_voxels)
     ii, jj, kk = np.ogrid[:dims[0], :dims[1], :dims[2]]
     dist = np.sqrt(
         (ii - seed.i) ** 2.0 + (jj - seed.j) ** 2.0 + (kk - seed.k) ** 2.0
     )
-    v = dx * dist - dx * radius_voxels
+    v = cfg.dx * dist - cfg.dx * cfg.seed_radius_voxels
     return LevelSetField(ScalarVolume(v, spacing))
 
 
@@ -128,7 +126,7 @@ def _sum3(rows, out):
     return np.add.reduce(rows, axis=0, out=out, initial=-0.0)
 
 
-def llf_hamiltonian(model: Model, g, grad_g, diffs, mu=1.0, eta=0.25, work=None):
+def llf_hamiltonian(model: Model, g, grad_g, diffs, mu, eta, work=None):
     """Local Lax-Friedrichs numerical Hamiltonian (first-order part).
 
     `diffs` holds the six one-sided differences (p-, p+, q-, q+, r-, r+)
@@ -170,16 +168,16 @@ def llf_hamiltonian(model: Model, g, grad_g, diffs, mu=1.0, eta=0.25, work=None)
     return h
 
 
-def curvature_3d(v, dx, delta=1e-8, work=None):
+def curvature_3d(v, dx, work=None):
     """Mean-curvature term div(Dv/|Dv|) by centered differences.
 
     `v` is a 3-D array, whose faces are handled by edge replication, or a
     (19, N) array of a field's values at the `STENCIL` neighbours of N
     voxels, as `step` gathers them.  The denominator is regularized by
-    `delta` where |Dv| vanishes.  The three axes are evaluated at once, on
-    (3, N) stacks.  The result, and the centred gradient (v+ - v-)/(2 dx)
-    as the (3, N) array "grad", are arrays of `work`, a `Workspace` of the
-    shape of one row (a new one when None).
+    `CURVATURE_DELTA` where |Dv| vanishes.  The three axes are evaluated at
+    once, on (3, N) stacks.  The result, and the centred gradient
+    (v+ - v-)/(2 dx) as the (3, N) array "grad", are arrays of `work`, a
+    `Workspace` of the shape of one row (a new one when None).
     """
     nb = np.asarray(v, dtype=np.float64)
     if nb.ndim == 3:
@@ -222,7 +220,7 @@ def curvature_3d(v, dx, delta=1e-8, work=None):
     terms[1:] *= cross
     _sum3(second, terms[0])
     num = np.subtract.reduce(terms, axis=0, out=w("kappa"))
-    sq += delta
+    sq += CURVATURE_DELTA
     sq **= 1.5
     num /= sq
     return num
@@ -315,17 +313,16 @@ def _prepare(raw_vol: ScalarVolume, cfg: SolverConfig, seeds):
         if not tissue.values[seed.i, seed.j, seed.k]:
             raise SeedError(f"seed {seed.as_tuple()} lies outside the tissue mask")
         _check_margin(raw_vol.dims, seed, cfg.seed_radius_voxels)
-    speed = build_speed(image, tissue, cfg.p, cfg.dx)
+    speed = build_speed(image, tissue, cfg)
     del image, tissue
-    dt = cfl_dt(speed, cfg.model, cfg.mu, cfg.eta, cfg.dx)
+    dt = cfl_dt(speed, cfg)
     whole = speed.active
     del speed
     labels = whole.components()
     table = "stencil" if cfg.model is Model.GEODESIC2 else "faces"
     sets, runs = {}, []
     for seed in seeds:
-        fld = init_levelset(raw_vol.dims, cfg.dx, seed, cfg.seed_radius_voxels,
-                            raw_vol.spacing)
+        fld = init_levelset(raw_vol.dims, seed, cfg, raw_vol.spacing)
         act = whole.reached(labels, fld.volume.values < 0)
         act = sets.setdefault(act.index.tobytes(), act)
         # the table is a cached property: build it before threads share it
@@ -337,9 +334,10 @@ def _prepare(raw_vol: ScalarVolume, cfg: SolverConfig, seeds):
 def _evolve_one(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float,
                 abort: threading.Event) -> EvolutionResult:
     """Run up to n_max explicit steps from `fld`, a field from
-    `with_workspace`, on `act`, or stop early once `abort` is set."""
+    `with_workspace`, on `act`, or stop early once `abort` is set or the
+    mask has not changed for `cfg.stagnation_window` steps."""
     start = time.perf_counter()
-    if cfg.early_stop == "stagnation":
+    if cfg.stagnation_window:
         values = fld.work("active_values")
         mask, prev_mask = fld.work("signs", 2, bool)
     stagnant = -1  # the first step has no mask to compare with
@@ -347,7 +345,7 @@ def _evolve_one(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float
         if abort.is_set():
             break
         fld = step(fld, act, cfg, dt)
-        if cfg.early_stop == "stagnation":
+        if cfg.stagnation_window:
             # u never changes outside `act`, so the signs inside it tell
             # whether the mask moved
             np.take(fld.volume.values, act.index, out=values, mode="clip")

@@ -32,28 +32,29 @@ class SpeedField:
 
     @cached_property
     def active(self) -> ActiveSet:
-        """Where the update can move the front, with the step's neighbour
-        tables: built at the first step and kept for the field's life."""
+        """The whole active set, where the update can move the front, made
+        at its first read and cached; `evolve` splits it into the parts its
+        seeds reach and frees the field before any step."""
         return ActiveSet.of_speed(self.g, self.grad_g)
 
 
-def build_speed(preprocessed: ScalarVolume, tissue: BinaryMask, p: int = 2,
-                dx: float = 0.1) -> SpeedField:
+# `cfg` is a `levelseg.solver.SolverConfig`, read by attribute: the solver
+# imports this module, so this one does not import it
+def build_speed(preprocessed: ScalarVolume, tissue: BinaryMask, cfg) -> SpeedField:
     """Velocity g = 1/(1 + |grad I|^p), zeroed outside the tissue mask,
-    with the centred gradient of that g (one-sided on the grid faces)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    ix, iy, iz = np.gradient(preprocessed.values, dx)
+    with the centred gradient of that g (one-sided on the grid faces); `p`
+    and the grid step `dx` are `cfg`'s."""
+    ix, iy, iz = np.gradient(preprocessed.values, cfg.dx)
     mag = np.sqrt(ix * ix + iy * iy + iz * iz)
-    g = 1.0 / (1.0 + mag**p)
+    g = 1.0 / (1.0 + mag**cfg.p)
     g[~tissue.values] = 0.0
-    return SpeedField(g, tuple(np.gradient(g, dx)))
+    return SpeedField(g, tuple(np.gradient(g, cfg.dx)))
 
 
-def cfl_dt(speed: SpeedField, model: Model, mu: float = 1.0, eta: float = 0.25,
-           dx: float = 0.1) -> float:
-    """Stable explicit time step for the given evolution model, from the
-    sup-norms of `speed.g` and of each component of `speed.grad_g`.
+def cfl_dt(speed: SpeedField, cfg) -> float:
+    """Stable explicit time step for `cfg.model`, from the sup-norms of
+    `speed.g` and of each component of `speed.grad_g`, with `cfg`'s `mu`,
+    `eta` and `dx`.
 
     Classical: dt = dx / (3*sup g).  First-order geodesic: dt = lambda*dx
     with lambda the smaller of 1/(3*sup g + sum of gradient sup-norms) and
@@ -63,15 +64,14 @@ def cfl_dt(speed: SpeedField, model: Model, mu: float = 1.0, eta: float = 0.25,
     summed x, then y, then z.  Second-order geodesic: parabolic bound
     dt = 0.25*dx^2, whatever the field.
     """
-    if dx <= 0:
-        raise ValueError("dx must be > 0")
-    if model is Model.GEODESIC2:
+    dx = cfg.dx
+    if cfg.model is Model.GEODESIC2:
         return 0.25 * dx * dx
     sup_g = float(np.abs(speed.g).max())
     if sup_g == 0.0:
         raise DegenerateSpeedError("degenerate speed field: g is identically zero")
-    if model is Model.CLASSICAL:
+    if cfg.model is Model.CLASSICAL:
         return dx / (3.0 * sup_g)
     grad_sum = sum(float(np.abs(c).max()) for c in speed.grad_g)
-    lam = 1.0 / max(3.0 * sup_g + grad_sum, 3.0 * mu * sup_g + eta * grad_sum)
+    lam = 1.0 / max(3.0 * sup_g + grad_sum, 3.0 * cfg.mu * sup_g + cfg.eta * grad_sum)
     return lam * dx

@@ -12,7 +12,7 @@ from scipy import ndimage
 from scipy.spatial.distance import cdist
 
 from levelseg.metrics import assd, dice, hausdorff, jaccard, surface_voxels
-from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
+from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_config, suite_spec, tube_seed
 from levelseg.postprocess import clean_spurious, postprocess
 from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import (
@@ -82,8 +82,8 @@ def test_criterion_monotonicity(record_criterion):
     worst = 0.0
     for model in (Model.CLASSICAL, Model.GEODESIC1):
         sp = _speed_from_g(rng.uniform(0.2, 1.0, size=dims))
-        cfg = SolverConfig(model=model)
-        dt = cfl_dt(sp, model, dx=DX)
+        cfg = SolverConfig(model=model, dx=DX)
+        dt = cfl_dt(sp, cfg)
         for _ in range(10):
             u = rng.standard_normal(dims) * 0.1
             base = step(LevelSetField(ScalarVolume(u)), sp.active, cfg, dt).volume.values
@@ -114,13 +114,13 @@ def test_criterion_eikonal_expansion(record_criterion):
     dims = (64, 64, 64)
     seed = VoxelIndex(31, 31, 31)
     sp = _speed_from_g(np.ones(dims))
-    cfg = SolverConfig(model=Model.CLASSICAL)
+    cfg = SolverConfig(model=Model.CLASSICAL, dx=DX, seed_radius_voxels=5.0)
     # any dt at or below the CFL bound is admissible; a quarter keeps the
     # front well inside the 64^3 domain over 100 steps (the full bound
     # would push the radius past the boundary) and limits the accumulated
     # first-order viscosity lag, which grows with distance travelled
-    dt = 0.25 * cfl_dt(sp, Model.CLASSICAL, dx=DX)
-    fld = init_levelset(dims, DX, seed, 5.0)
+    dt = 0.25 * cfl_dt(sp, cfg)
+    fld = init_levelset(dims, seed, cfg, (1.0, 1.0, 1.0))
     for _ in range(100):
         fld = step(fld, sp.active, cfg, dt)
     mask = extract_mask(fld).values
@@ -186,11 +186,7 @@ def test_criterion_second_order_epsilon_zero(record_criterion):
 # 6 -----------------------------------------------------------------------
 
 def _run_side(raw, spec_name, model, side, spec):
-    params = SUITE_PARAMS[spec_name]
-    n_max = (params["n_max_second_order"] if model is Model.GEODESIC2
-             else params["n_max"])
-    cfg = SolverConfig(model=model, sigma=params["sigma"], n_max=n_max)
-    return evolve(raw, cfg, [tube_seed(spec, side)])[0]
+    return evolve(raw, suite_config(spec_name, model), [tube_seed(spec, side)])[0]
 
 
 def test_criterion_phantom_end_to_end(record_criterion):
@@ -253,12 +249,12 @@ def test_criterion_cost_gap(record_criterion):
     seed = tube_seed(spec, "left")
     sigma = SUITE_PARAMS["easy"]["sigma"]
     image, tissue = preprocess_pipeline(raw, sigma)
-    speed = build_speed(image, tissue, 2, DX)
+    speed = build_speed(image, tissue, SolverConfig(p=2, dx=DX))
 
     def iterations_to_dice(model, n_cap, target=0.90):
-        cfg = SolverConfig(model=model)
-        fld = init_levelset(raw.dims, DX, seed, 5.0)
-        dt = cfl_dt(speed, model, dx=DX)
+        cfg = SolverConfig(model=model, dx=DX, seed_radius_voxels=5.0)
+        fld = init_levelset(raw.dims, seed, cfg, raw.spacing)
+        dt = cfl_dt(speed, cfg)
         t0 = time.perf_counter()
         for n in range(1, n_cap + 1):
             fld = step(fld, speed.active, cfg, dt)

@@ -18,10 +18,10 @@ from scipy import ndimage
 from levelseg import cli, solver
 from levelseg.cli import _slice_contours, main
 from levelseg.metrics import dice
-from levelseg.phantom import SUITE_PARAMS
+from levelseg.phantom import SUITE_PARAMS, spec_to_json, suite_spec
 from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import SolverConfig
-from levelseg.speed import Model, build_speed
+from levelseg.speed import Model, build_speed, cfl_dt
 from levelseg.volumes import BinaryMask, VoxelIndex, load_mask, load_volume
 
 
@@ -60,6 +60,20 @@ def test_phantom_spec_bad_dims(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+@pytest.mark.parametrize("name", ["rim_width", "rim_hu"])
+def test_phantom_spec_rim_field_is_one_line(tmp_path, capsys, name):
+    # the tube rim is no longer a phantom setting
+    doc = json.loads(spec_to_json(suite_spec("easy")))
+    doc[name] = 1.0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid phantom spec"), err
+    assert name in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_segment_end_to_end(phantom_dir, tmp_path, capsys):
     out = tmp_path / "run"
     rc = main([
@@ -87,7 +101,7 @@ def test_segment_end_to_end(phantom_dir, tmp_path, capsys):
     # each side steps the 18-connected component of the active set that
     # holds its seed; the two tubes' components make up the whole set
     image, tissue = preprocess_pipeline(load_volume(phantom_dir / "volume.json"), 1.75)
-    sp = build_speed(image, tissue)
+    sp = build_speed(image, tissue, SolverConfig())
     active = (sp.g != 0) | np.any([c != 0 for c in sp.grad_g], axis=0)
     labels, count = ndimage.label(active, ndimage.generate_binary_structure(3, 2))
     assert count == 2
@@ -116,8 +130,7 @@ def test_segment_manifest(phantom_dir, tmp_path):
         "input": volume, "out": str(out), "model": "gmfd2",
         "seed_left": [22, 40, 20], "seed_right": [57, 40, 20],
         "mu": 1.5, "eta": 0.5, "epsilon": 0.1, "p": 1, "sigma": 1.75, "dx": 0.2,
-        "n_max": 3, "seed_radius_voxels": 5.0,
-        "early_stop": "off", "stagnation_window": 50,
+        "n_max": 3, "seed_radius_voxels": 5.0, "stagnation_window": 0,
         "postprocess": True, "start_slice": 19,
     }
 
@@ -145,7 +158,7 @@ def test_segment_manifest_replays_the_run(phantom_dir, tmp_path, evolve_configs)
         "segment", "--input", str(volume),
         "--seed-left", "22,40,20", "--seed-right", "57,40,20",
         "--model", "gmfd1", "--nmax", "40", "--sigma", "1.75", "--mu", "1.5",
-        "--eta", "0.5", "--early-stop", "stagnation", "--stagnation-window", "5",
+        "--eta", "0.5", "--stagnation-window", "5",
         "--out", str(out),
     ]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -173,7 +186,7 @@ def stagnation_run(phantom_dir, tmp_path_factory):
         "segment", "--input", str(phantom_dir / "volume.json"),
         "--seed-left", "22,40,20", "--seed-right", "57,40,20",
         "--model", "classical", "--nmax", "400", "--sigma", "1.75",
-        "--early-stop", "stagnation", "--stagnation-window", "50",
+        "--stagnation-window", "50",
         "--out", str(out),
     ]) == 0
     return out
@@ -182,8 +195,7 @@ def stagnation_run(phantom_dir, tmp_path_factory):
 def test_segment_early_stop_stagnation_equals_evolve(phantom_dir, stagnation_run):
     # both sides stagnate before --nmax, with the masks and iteration
     # counts of `evolve` under the same config
-    cfg = SolverConfig(model=Model.CLASSICAL, sigma=1.75, n_max=400,
-                       early_stop="stagnation", stagnation_window=50)
+    cfg = SolverConfig(model=Model.CLASSICAL, sigma=1.75, n_max=400, stagnation_window=50)
     results = solver.evolve(load_volume(phantom_dir / "volume.json"), cfg,
                             [VoxelIndex(22, 40, 20), VoxelIndex(57, 40, 20)])
     timing = json.loads((stagnation_run / "timing.json").read_text())
@@ -192,7 +204,7 @@ def test_segment_early_stop_stagnation_equals_evolve(phantom_dir, stagnation_run
         mask = load_mask(stagnation_run / f"{side}.mask.json")
         assert np.array_equal(mask.values, result.mask.values)
     manifest = json.loads((stagnation_run / "manifest.json").read_text())
-    assert (manifest["early_stop"], manifest["stagnation_window"]) == ("stagnation", 50)
+    assert manifest["stagnation_window"] == 50 and "early_stop" not in manifest
 
 
 def test_segment_timing_records_pair_seconds(stagnation_run):
@@ -206,12 +218,12 @@ def test_segment_bad_stagnation_window_is_one_line(phantom_dir, tmp_path, capsys
     rc = main([
         "segment", "--input", str(phantom_dir / "volume.json"),
         "--seed-left", "22,40,20", "--seed-right", "57,40,20",
-        "--model", "classical", "--nmax", "5", "--early-stop", "stagnation",
-        "--stagnation-window", "0", "--out", str(tmp_path / "x"),
+        "--model", "classical", "--nmax", "5",
+        "--stagnation-window", "-1", "--out", str(tmp_path / "x"),
     ])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: stagnation_window must be >= 1"]
+    assert err == ["error: stagnation_window must be >= 0"]
 
 
 def test_segment_negative_sigma_is_one_line(phantom_dir, tmp_path, capsys):
@@ -226,15 +238,24 @@ def test_segment_negative_sigma_is_one_line(phantom_dir, tmp_path, capsys):
     assert err == ["error: sigma must be >= 0"]
 
 
-def test_segment_gmfd2_logs_parabolic_dt(phantom_dir, tmp_path, capsys):
-    out = tmp_path / "run"
-    rc = main([
-        "segment", "--input", str(phantom_dir / "volume.json"),
-        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
-        "--model", "gmfd2", "--nmax", "2", "--out", str(out),
-    ])
-    assert rc == 0
-    assert "0.25*dx^2" in capsys.readouterr().err
+def test_segment_logs_the_cfl_dt(phantom_dir, tmp_path, capsys):
+    # a run's one time step is `cfl_dt`'s: each side logs it (to 6
+    # significant digits) and records it in timing.json, and nothing else
+    # is logged
+    image, tissue = preprocess_pipeline(load_volume(phantom_dir / "volume.json"), 0.0)
+    for model in Model:
+        out = tmp_path / model.value
+        assert main([
+            "segment", "--input", str(phantom_dir / "volume.json"),
+            "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+            "--model", model.value, "--nmax", "2", "--out", str(out),
+        ]) == 0
+        cfg = SolverConfig(model=model, n_max=2)
+        dt = cfl_dt(build_speed(image, tissue, cfg), cfg)
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split("dt=")[1].split(",")[0] for line in err] == [f"{dt:.6g}"] * 2, err
+        timing = json.loads((out / "timing.json").read_text())
+        assert [timing["sides"][side]["dt"] for side in ("left", "right")] == [dt, dt]
 
 
 def test_segment_missing_seed_is_usage_error(phantom_dir, tmp_path):

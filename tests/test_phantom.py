@@ -126,7 +126,7 @@ def test_hard_distractor_shares_muscle_hu():
     # both at muscle HU and touch over the distractor's wide section
     spec = suite_spec("hard")
     raw, left, _ = generate_phantom(spec)
-    mask = tissue_mask(raw, (5.0, 120.0))
+    mask = tissue_mask(raw)
     assert mask.count() > left.count() * 2 + 100  # distractor adds tissue
     k = 20  # inside the wide section
     col = mask.values[:, :, k]
@@ -190,8 +190,6 @@ def _phantom_specs(draw):
         noise_std=draw(st.floats(0.0, 100.0)),
         rng_seed=draw(st.integers(0, 2**32)),
         air_border=draw(st.integers(0, 5)),
-        rim_width=draw(st.floats(0.0, 5.0)),
-        rim_hu=draw(_finite),
     )
 
 

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelseg.preprocess import (
+    CLIP_THRESHOLD,
+    EQUALIZATION_BINS,
+    TISSUE_INTERVAL,
     clip_hu,
     equalize_slices,
     gaussian_smooth,
@@ -33,7 +36,7 @@ def test_clip_examples():
     vals[0, 0, 0] = 130.0
     vals[1, 1, 1] = 100.0
     vals[2, 2, 2] = -50.0
-    out = clip_hu(_vol(vals), 120.0)
+    out = clip_hu(_vol(vals))
     assert out.values[0, 0, 0] == 0.0    # above threshold -> zeroed
     assert out.values[1, 1, 1] == 100.0  # below -> untouched
     assert out.values[2, 2, 2] == -50.0  # negative -> untouched
@@ -41,24 +44,24 @@ def test_clip_examples():
 
 def test_clip_threshold_not_strict_below():
     vals = np.full((3, 3, 3), 120.0)
-    out = clip_hu(_vol(vals), 120.0)
+    out = clip_hu(_vol(vals))
     assert np.all(out.values == 120.0)  # strictly-above rule
 
 
 def test_clip_does_not_mutate_input():
     vol = _vol(np.full((3, 3, 3), 200.0))
-    clip_hu(vol, 120.0)
+    clip_hu(vol)
     assert np.all(vol.values == 200.0)
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**31), threshold=st.floats(-100, 300))
-def test_clip_idempotent(seed, threshold):
+@given(seed=st.integers(0, 2**31))
+def test_clip_idempotent(seed):
     vol = _random_vol(seed)
-    once = clip_hu(vol, threshold)
-    twice = clip_hu(once, threshold)
+    once = clip_hu(vol)
+    twice = clip_hu(once)
     assert np.array_equal(once.values, twice.values)
-    assert np.all(once.values <= max(threshold, 0.0))
+    assert np.all(once.values <= CLIP_THRESHOLD)
 
 
 # ------------------------------------------------------------ equalization
@@ -68,24 +71,24 @@ def test_equalize_two_level_slice():
     vals = np.zeros((4, 4, 3))
     vals[:2, :, :] = 10.0
     vals[2:, :, :] = 90.0
-    out = equalize_slices(_vol(vals), bins=256)
+    out = equalize_slices(_vol(vals))
     assert set(np.unique(out.values)) == {0.5, 1.0}
     assert np.all(out.values[:2] == 0.5)
     assert np.all(out.values[2:] == 1.0)
 
 
 def test_equalize_constant_slice_is_zero():
-    out = equalize_slices(_vol(np.full((4, 4, 3), 42.0)), 256)
+    out = equalize_slices(_vol(np.full((4, 4, 3), 42.0)))
     assert np.all(out.values == 0.0)
 
 
 def test_equalize_slices_independent():
     rng = np.random.default_rng(1)
     vals = rng.uniform(0, 100, size=(6, 6, 5))
-    whole = equalize_slices(_vol(vals), 128)
+    whole = equalize_slices(_vol(vals))
     # permuting the other slices must not change slice 2
     perm = vals[:, :, [4, 3, 2, 1, 0]]
-    permuted = equalize_slices(_vol(perm), 128)
+    permuted = equalize_slices(_vol(perm))
     assert np.array_equal(whole.values[:, :, 2], permuted.values[:, :, 2])
 
 
@@ -95,15 +98,15 @@ def test_equalize_three_level_cdf_oracle():
     vals[0, :, :] = 0.0
     vals[1, :, :] = 40.0
     vals[2:, :, :] = 80.0
-    out = equalize_slices(_vol(vals), 256)
+    out = equalize_slices(_vol(vals))
     assert np.allclose(np.unique(out.values), [0.25, 0.5, 1.0])
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**31), bins=st.integers(2, 512))
-def test_equalize_range_and_monotone(seed, bins):
+@given(seed=st.integers(0, 2**31))
+def test_equalize_range_and_monotone(seed):
     vol = _random_vol(seed, dims=(7, 7, 3))
-    out = equalize_slices(vol, bins)
+    out = equalize_slices(vol)
     assert np.all(out.values >= 0.0) and np.all(out.values <= 1.0)
     # equalization is monotone within each slice
     for k in range(3):
@@ -171,7 +174,7 @@ def test_tissue_mask_examples():
     vals[0, 0, 0] = 50.0    # inside [5, 120]
     vals[1, 1, 1] = 4.0     # below
     vals[2, 2, 2] = 121.0   # above
-    mask = tissue_mask(_vol(vals), (5.0, 120.0))
+    mask = tissue_mask(_vol(vals))
     assert bool(mask.values[0, 0, 0]) is True
     assert bool(mask.values[1, 1, 1]) is False
     assert bool(mask.values[2, 2, 2]) is False
@@ -181,14 +184,14 @@ def test_tissue_mask_inclusive_bounds():
     vals = np.zeros((3, 3, 3))
     vals[0, 0, 0] = 5.0
     vals[1, 1, 1] = 120.0
-    mask = tissue_mask(_vol(vals), (5.0, 120.0))
+    mask = tissue_mask(_vol(vals))
     assert mask.values[0, 0, 0] and mask.values[1, 1, 1]
 
 
 def test_tissue_mask_counting_oracle():
     rng = np.random.default_rng(11)
     vals = rng.uniform(-100, 200, size=(9, 9, 4))
-    mask = tissue_mask(_vol(vals), (5.0, 120.0))
+    mask = tissue_mask(_vol(vals))
     expected = int(np.sum((vals >= 5.0) & (vals <= 120.0)))
     assert mask.count() == expected
 
@@ -198,11 +201,12 @@ def test_tissue_mask_counting_oracle():
 def test_pipeline_composition():
     # the clip threshold, the bin count and the tissue window are the
     # paper's constants
+    assert (CLIP_THRESHOLD, EQUALIZATION_BINS, TISSUE_INTERVAL) == (120.0, 256, (5.0, 120.0))
     vol = _random_vol(23)
     image, tissue = preprocess_pipeline(vol, 1.0)
-    by_hand = gaussian_smooth(equalize_slices(clip_hu(vol, 120.0), 256), 1.0)
+    by_hand = gaussian_smooth(equalize_slices(clip_hu(vol)), 1.0)
     assert np.array_equal(image.values, by_hand.values)
-    assert np.array_equal(tissue.values, tissue_mask(vol, (5.0, 120.0)).values)
+    assert np.array_equal(tissue.values, tissue_mask(vol).values)
 
 
 def test_config_validation():
@@ -221,5 +225,5 @@ def test_tissue_mask_invariant_under_smoothing_params(seed, sigma):
     # the mask is built from the raw HU, so sigma must not affect it
     vol = _random_vol(seed)
     _, mask_a = preprocess_pipeline(vol, sigma)
-    _, mask_b = preprocess_pipeline(vol)
+    _, mask_b = preprocess_pipeline(vol, 0.0)
     assert np.array_equal(mask_a.values, mask_b.values)

@@ -26,11 +26,10 @@ def test_cost_gap_profile_runs_on_easy(cost_gap, model):
     spec = suite_spec("easy")
     raw, truth, _ = generate_phantom(spec)
     image, tissue = preprocess_pipeline(raw, SUITE_PARAMS["easy"]["sigma"])
-    cfg = SolverConfig(model=model)
-    speed = build_speed(image, tissue, cfg.p, cfg.dx)
-    dt, curve, crossing, wall = cost_gap.profile(model, raw, speed, tube_seed(spec, "left"),
-                                                 truth, n_max=20)
-    assert dt == cfl_dt(speed, model, cfg.mu, cfg.eta, cfg.dx)
+    cfg = SolverConfig(model=model, n_max=20)
+    speed = build_speed(image, tissue, cfg)
+    dt, curve, crossing, wall = cost_gap.profile(cfg, raw, speed, tube_seed(spec, "left"), truth)
+    assert dt == cfl_dt(speed, cfg)
     assert [n for n, _ in curve] == [10, 20]
     assert all(0.0 < d <= 1.0 for _, d in curve)
     assert crossing is None or crossing[0] in (10, 20)

@@ -14,7 +14,7 @@ from scipy import ndimage
 from levelseg import solver
 from levelseg.active import CONNECTIVITY
 from levelseg.metrics import dice
-from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
+from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_config, suite_spec, tube_seed
 from levelseg.postprocess import postprocess
 from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import (
@@ -33,6 +33,9 @@ from levelseg.speed import Model, SpeedField, build_speed, cfl_dt
 from levelseg.volumes import ScalarVolume, VoxelIndex
 
 DX = 0.1
+UNIT = (1.0, 1.0, 1.0)
+# the grid step of the tests and a seed sphere of 5 voxels
+CFG = SolverConfig(dx=DX, seed_radius_voxels=5.0)
 
 
 def _speed_from_g(g_arr, dx=DX):
@@ -49,7 +52,7 @@ def _unit_speed(dims):
 def test_init_values_at_key_distances():
     dims = (31, 31, 31)
     seed = VoxelIndex(15, 15, 15)
-    fld = init_levelset(dims, DX, seed, 5.0)
+    fld = init_levelset(dims, seed, CFG, UNIT)
     assert fld.volume.values[15, 15, 15] == pytest.approx(-0.5)
     assert fld.volume.values[20, 15, 15] == pytest.approx(0.0)
     assert fld.volume.values[25, 15, 15] == pytest.approx(0.5)
@@ -59,20 +62,20 @@ def test_init_levelset_equals_meshgrid_form():
     dims, seed = (23, 17, 19), VoxelIndex(9, 8, 11)
     ii, jj, kk = np.meshgrid(*[np.arange(n) for n in dims], indexing="ij")
     dist = np.sqrt((ii - seed.i) ** 2.0 + (jj - seed.j) ** 2.0 + (kk - seed.k) ** 2.0)
-    fld = init_levelset(dims, DX, seed, 4.5)
+    fld = init_levelset(dims, seed, SolverConfig(dx=DX, seed_radius_voxels=4.5), UNIT)
     assert np.array_equal(fld.volume.values, DX * dist - DX * 4.5)
 
 
 def test_init_margin_enforced():
     with pytest.raises(SeedError):
-        init_levelset((20, 20, 20), DX, VoxelIndex(6, 10, 10), 5.0)  # 6 < 7
-    init_levelset((20, 20, 20), DX, VoxelIndex(7, 10, 10), 5.0)  # boundary ok
+        init_levelset((20, 20, 20), VoxelIndex(6, 10, 10), CFG, UNIT)  # 6 < 7
+    init_levelset((20, 20, 20), VoxelIndex(7, 10, 10), CFG, UNIT)  # boundary ok
 
 
 def test_init_mask_is_discrete_ball():
     dims = (25, 25, 25)
     seed = VoxelIndex(12, 12, 12)
-    fld = init_levelset(dims, DX, seed, 5.0)
+    fld = init_levelset(dims, seed, CFG, UNIT)
     mask = extract_mask(fld)
     ii, jj, kk = np.meshgrid(*[np.arange(25)] * 3, indexing="ij")
     ball = (ii - 12) ** 2 + (jj - 12) ** 2 + (kk - 12) ** 2 < 25.0
@@ -82,14 +85,14 @@ def test_init_mask_is_discrete_ball():
 # --------------------------------------------------------- llf_hamiltonian
 
 def test_llf_consistency_345():
-    h = llf_hamiltonian(Model.CLASSICAL, 1.0, (0.0, 0.0, 0.0), (3, 3, 4, 4, 0, 0))
+    h = llf_hamiltonian(Model.CLASSICAL, 1.0, (0.0, 0.0, 0.0), (3, 3, 4, 4, 0, 0), 1.0, 0.25)
     assert h == pytest.approx(5.0, abs=1e-12)
 
 
 def test_llf_pure_dissipation():
     # symmetric kink: averages vanish, leaving -alpha_x * a with alpha = g = 1
     a = 2.0
-    h = llf_hamiltonian(Model.CLASSICAL, 1.0, (0.0, 0.0, 0.0), (-a, a, 0, 0, 0, 0))
+    h = llf_hamiltonian(Model.CLASSICAL, 1.0, (0.0, 0.0, 0.0), (-a, a, 0, 0, 0, 0), 1.0, 0.25)
     assert h == pytest.approx(-a, abs=1e-12)
 
 
@@ -184,7 +187,7 @@ def test_curvature_refines():
 
 def test_step_zero_speed_is_noop():
     dims = (15, 15, 15)
-    fld = init_levelset(dims, DX, VoxelIndex(7, 7, 7), 5.0)
+    fld = init_levelset(dims, VoxelIndex(7, 7, 7), CFG, UNIT)
     sp = _speed_from_g(np.zeros(dims))
     assert sp.active.index.size == 0
     for model in Model:
@@ -199,7 +202,7 @@ def test_step_eikonal_expansion_short():
     # speed, so the front radius grows by dt/dx voxels per step
     dims = (33, 33, 33)
     seed = VoxelIndex(16, 16, 16)
-    fld = init_levelset(dims, DX, seed, 5.0)
+    fld = init_levelset(dims, seed, CFG, UNIT)
     sp = _unit_speed(dims)
     cfg = SolverConfig(model=Model.CLASSICAL)
     dt = DX / 3.0
@@ -220,7 +223,7 @@ def test_step_classical_nonincreasing_away_from_tip():
     # beyond that region v sinks and the mask only grows
     dims = (21, 21, 21)
     seed = VoxelIndex(10, 10, 10)
-    fld = init_levelset(dims, DX, seed, 5.0)
+    fld = init_levelset(dims, seed, CFG, UNIT)
     sp = _unit_speed(dims)
     cfg = SolverConfig(model=Model.CLASSICAL)
     ii, jj, kk = np.meshgrid(*[np.arange(21)] * 3, indexing="ij")
@@ -240,7 +243,7 @@ def test_step_epsilon_zero_matches_first_order():
     seed = VoxelIndex(8, 8, 8)
     rng = np.random.default_rng(31)
     sp = _speed_from_g(rng.uniform(0.2, 1.0, size=dims))
-    fld = init_levelset(dims, DX, seed, 5.0)
+    fld = init_levelset(dims, seed, CFG, UNIT)
     cfg1 = SolverConfig(model=Model.GEODESIC1)
     cfg2 = SolverConfig(model=Model.GEODESIC2, epsilon=0.0)
     dt = 0.0025
@@ -259,7 +262,7 @@ def test_step_monotone_under_cfl():
     rng = np.random.default_rng(41)
     sp = _speed_from_g(rng.uniform(0.2, 1.0, size=dims))
     cfg = SolverConfig(model=Model.GEODESIC1)
-    dt = cfl_dt(sp, cfg.model, cfg.mu, cfg.eta, cfg.dx)
+    dt = cfl_dt(sp, cfg)
     u = rng.standard_normal(dims) * 0.1
     base = step(LevelSetField(ScalarVolume(u)), sp.active, cfg, dt).volume.values
     for _ in range(200):
@@ -367,15 +370,15 @@ def easy_speed():
     spec = suite_spec("easy")
     raw, _, _ = generate_phantom(spec)
     image, tissue = preprocess_pipeline(raw, SUITE_PARAMS["easy"]["sigma"])
-    return raw, tube_seed(spec, "left"), build_speed(image, tissue)
+    return raw, tube_seed(spec, "left"), build_speed(image, tissue, SolverConfig())
 
 
 @pytest.mark.parametrize("model", list(Model))
 def test_step_equals_full_grid_oracle_on_easy(easy_speed, model):
     raw, seed, sp = easy_speed
     cfg = SolverConfig(model=model)
-    dt = cfl_dt(sp, model, cfg.mu, cfg.eta, cfg.dx)
-    fld = ref = init_levelset(raw.dims, cfg.dx, seed, cfg.seed_radius_voxels, raw.spacing)
+    dt = cfl_dt(sp, cfg)
+    fld = ref = init_levelset(raw.dims, seed, cfg, raw.spacing)
     for _ in range(50):
         fld = step(fld, sp.active, cfg, dt)
         ref = _full_grid_step(ref, sp, cfg, dt)
@@ -410,8 +413,8 @@ def test_step_is_pure_and_reuses_tables():
     g[:5] = 0.0
     for model in Model:
         sp = _speed_from_g(g)
-        cfg = SolverConfig(model=model)
-        fld = init_levelset(dims, DX, VoxelIndex(5, 5, 5), 3.0)
+        cfg = SolverConfig(model=model, seed_radius_voxels=3.0)
+        fld = init_levelset(dims, VoxelIndex(5, 5, 5), cfg, UNIT)
         before = fld.volume.values.copy()
         out = step(fld, sp.active, cfg, 0.0025)
         assert np.array_equal(fld.volume.values, before)
@@ -442,20 +445,17 @@ def test_gmfd1_geodesic_bias_is_the_zero_speed_ring(easy_speed):
     # active set, and its voxels outside the truth are exactly that ring
     raw, seed, sp = easy_speed
     _, truth, _ = generate_phantom(suite_spec("easy"))
-    params = SUITE_PARAMS["easy"]
     gx, gy, gz = sp.grad_g
     active = (sp.g != 0) | (gx != 0) | (gy != 0) | (gz != 0)
     labels, _ = ndimage.label(active, CONNECTIVITY)
     component = labels == labels[seed.as_tuple()]
     ring = sp.g == 0
-    geodesic, = evolve(raw, SolverConfig(model=Model.GEODESIC1, sigma=params["sigma"],
-                                         n_max=params["n_max"]), [seed])
+    geodesic, = evolve(raw, suite_config("easy", Model.GEODESIC1), [seed])
     mask = geodesic.mask.values
     assert np.array_equal(mask, component) and mask.sum() == 18_081
     outside = mask & ~truth.values
     assert np.array_equal(outside, mask & ring) and outside.sum() == 2_624
-    classical, = evolve(raw, SolverConfig(model=Model.CLASSICAL, sigma=params["sigma"],
-                                          n_max=params["n_max"]), [seed])
+    classical, = evolve(raw, suite_config("easy", Model.CLASSICAL), [seed])
     assert not (classical.mask.values & ring).any()
 
 
@@ -487,7 +487,7 @@ def test_evolve_nmax_zero_returns_initial_sphere():
     seed = VoxelIndex(12, 12, 12)
     cfg = SolverConfig(model=Model.GEODESIC1, n_max=0)
     result, = evolve(vol, cfg, [seed])
-    expected = extract_mask(init_levelset(vol.dims, DX, seed, 5.0))
+    expected = extract_mask(init_levelset(vol.dims, seed, cfg, vol.spacing))
     assert np.array_equal(result.mask.values, expected.values)
     assert result.iterations == 0
 
@@ -526,7 +526,6 @@ def test_evolve_early_stop_stagnation():
     cfg = SolverConfig(
         model=Model.CLASSICAL,
         n_max=5000,
-        early_stop="stagnation",
         stagnation_window=10,
     )
     result, = evolve(vol, cfg, [VoxelIndex(12, 12, 12)])
@@ -535,33 +534,34 @@ def test_evolve_early_stop_stagnation():
 
 def _whole_set_loop(sp, dims, cfg, seed, act=None):
     """Reference: `step` on the whole active set of `sp` (or on `act`) from
-    the sphere at `seed`, to `cfg.n_max` steps or, with stagnation stop,
-    until the whole-grid mask has not changed for `cfg.stagnation_window`
-    consecutive steps."""
-    fld = init_levelset(dims, cfg.dx, seed, cfg.seed_radius_voxels)
-    dt = cfl_dt(sp, cfg.model, cfg.mu, cfg.eta, cfg.dx)
+    the sphere at `seed`, to `cfg.n_max` steps or, with a nonzero
+    `cfg.stagnation_window`, until the whole-grid mask has not changed for
+    that many consecutive steps."""
+    fld = init_levelset(dims, seed, cfg, UNIT)
+    dt = cfl_dt(sp, cfg)
     prev, stagnant = None, 0
-    while fld.n < cfg.n_max and stagnant < cfg.stagnation_window:
+    while fld.n < cfg.n_max:
         fld = step(fld, sp.active if act is None else act, cfg, dt)
-        if cfg.early_stop == "stagnation":
+        if cfg.stagnation_window:
             mask = extract_mask(fld).values
             stagnant = stagnant + 1 if prev is not None and np.array_equal(mask, prev) else 0
             prev = mask
+            if stagnant >= cfg.stagnation_window:
+                break
     return fld
 
 
 def _whole_set_reference(vol, cfg, seed):
     """`_whole_set_loop` on the speed field `evolve` builds for `vol`."""
     image, tissue = preprocess_pipeline(vol, cfg.sigma)
-    sp = build_speed(image, tissue, cfg.p, cfg.dx)
+    sp = build_speed(image, tissue, cfg)
     return _whole_set_loop(sp, vol.dims, cfg, seed), sp
 
 
 def test_evolve_stagnation_matches_whole_grid_masks():
     vol = _uniform_phantom()
     seed = VoxelIndex(12, 12, 12)
-    cfg = SolverConfig(model=Model.GEODESIC1, n_max=5000,
-                       early_stop="stagnation", stagnation_window=10)
+    cfg = SolverConfig(model=Model.GEODESIC1, n_max=5000, stagnation_window=10)
     result, = evolve(vol, cfg, [seed])
     fld, _ = _whole_set_reference(vol, cfg, seed)
     assert result.iterations == fld.n < cfg.n_max
@@ -630,13 +630,14 @@ def _check_against_whole_set(vol, sp, cfg, seeds):
 @settings(max_examples=40, deadline=None)
 @given(
     model=st.sampled_from(list(Model)),
-    early_stop=st.sampled_from(["off", "stagnation"]),
+    stagnation_window=st.sampled_from([0, 5]),
     gap=st.integers(1, 5),
     ends=st.tuples(*[st.integers(1, 3)] * 6),
     picks=st.tuples(st.integers(0, 1), st.integers(0, 1)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_evolve_seeds_equals_whole_set_on_two_boxes(model, early_stop, gap, ends, picks, seed):
+def test_evolve_seeds_equals_whole_set_on_two_boxes(model, stagnation_window, gap, ends, picks,
+                                                     seed):
     # seeds in either box, or both in one; a sphere near the gap can reach
     # the other box's component.  The boxes stay off the grid faces, where
     # the scheme is not monotone (see the test below).
@@ -645,7 +646,7 @@ def test_evolve_seeds_equals_whole_set_on_two_boxes(model, early_stop, gap, ends
     seeds = [VoxelIndex(int(rng.integers(*xs[b])), int(rng.integers(4, 8)),
                         int(rng.integers(4, 8))) for b in picks]
     cfg = SolverConfig(model=model, n_max=60, seed_radius_voxels=2.0,
-                       early_stop=early_stop, stagnation_window=5)
+                       stagnation_window=stagnation_window)
     _check_against_whole_set(vol, sp, cfg, seeds)
 
 
@@ -690,7 +691,7 @@ def test_evolve_seeds_equals_evolve_per_seed(model):
     vals[20:37, 3:-3, 3:-3] = 60.0
     vol = ScalarVolume(vals)
     seeds = [VoxelIndex(10, 12, 12), VoxelIndex(28, 12, 12)]
-    cfg = SolverConfig(model=model, n_max=1000, early_stop="stagnation", stagnation_window=20)
+    cfg = SolverConfig(model=model, n_max=1000, stagnation_window=20)
     pair = evolve(vol, cfg, seeds)
     singles = [evolve(vol, cfg, [seed])[0] for seed in seeds]
     for got, want in zip(pair, singles):
@@ -899,8 +900,8 @@ def test_loop_steps_alternate_two_grids_without_allocating(easy_speed, model):
     # 2.1 MB for one grid
     raw, seed, sp = easy_speed
     cfg = SolverConfig(model=model)
-    dt = cfl_dt(sp, model, cfg.mu, cfg.eta, cfg.dx)
-    fld = init_levelset(raw.dims, cfg.dx, seed, cfg.seed_radius_voxels, raw.spacing)
+    dt = cfl_dt(sp, cfg)
+    fld = init_levelset(raw.dims, seed, cfg, raw.spacing)
     fld = solver.with_workspace(fld, sp.active)
     grids = [volume.values for volume in fld.work.volumes]
     fld = step(fld, sp.active, cfg, dt)
@@ -934,11 +935,8 @@ HARD_LEFT_DICE_FLOORS = {
 def test_hard_phantom_left_dice_floors(model):
     spec = suite_spec("hard")
     raw, truth, _ = generate_phantom(spec)
-    params = SUITE_PARAMS["hard"]
-    n_max = params["n_max_second_order"] if model is Model.GEODESIC2 else params["n_max"]
     seed = tube_seed(spec, "left")
-    result, = evolve(raw, SolverConfig(model=model, sigma=params["sigma"], n_max=n_max),
-                     [seed])
+    result, = evolve(raw, suite_config("hard", model), [seed])
     raw_floor, cleaned_floor = HARD_LEFT_DICE_FLOORS[model]
     assert dice(result.mask, truth) >= raw_floor
     assert dice(postprocess(result.mask, seed), truth) >= cleaned_floor
@@ -951,5 +949,5 @@ def test_solver_config_validation():
         SolverConfig(dx=0.0)
     with pytest.raises(ValueError):
         SolverConfig(n_max=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(early_stop="sometimes")
+    with pytest.raises(ValueError, match="stagnation_window must be >= 0"):
+        SolverConfig(stagnation_window=-1)

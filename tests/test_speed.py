@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levelseg.preprocess import tissue_mask
+from levelseg.solver import SolverConfig
 from levelseg.speed import (
     DegenerateSpeedError,
     Model,
@@ -15,6 +16,7 @@ from levelseg.speed import (
 from levelseg.volumes import BinaryMask, ScalarVolume
 
 DX = 0.1
+CFG = SolverConfig(p=2, dx=DX)
 
 
 def _vol(arr):
@@ -33,20 +35,20 @@ def _constant_field(g_value, dims=(5, 5, 5)):
 # ------------------------------------------------------------- build_speed
 
 def test_speed_flat_region_is_one():
-    sp = build_speed(_vol(np.full((5, 5, 5), 0.3)), _all_tissue((5, 5, 5)), 2, DX)
+    sp = build_speed(_vol(np.full((5, 5, 5), 0.3)), _all_tissue((5, 5, 5)), CFG)
     assert np.all(sp.g == 1.0)
 
 
 def test_speed_unit_gradient_is_half():
     # |grad I| = 1 with p = 2 -> g = 0.5 at interior voxels
     ii = np.arange(9)[:, None, None] * np.ones((1, 9, 9))
-    sp = build_speed(_vol(DX * ii), _all_tissue((9, 9, 9)), 2, DX)
+    sp = build_speed(_vol(DX * ii), _all_tissue((9, 9, 9)), CFG)
     assert np.allclose(sp.g[1:-1], 0.5)
 
 
 def test_speed_slope_three_is_tenth():
     ii = np.arange(9)[:, None, None] * np.ones((1, 9, 9))
-    sp = build_speed(_vol(3.0 * DX * ii), _all_tissue((9, 9, 9)), 2, DX)
+    sp = build_speed(_vol(3.0 * DX * ii), _all_tissue((9, 9, 9)), CFG)
     assert np.allclose(sp.g[1:-1], 0.1)
 
 
@@ -54,14 +56,15 @@ def test_speed_zeroed_outside_tissue():
     dims = (5, 5, 5)
     tissue = np.zeros(dims, dtype=bool)
     tissue[2, 2, 2] = True
-    sp = build_speed(_vol(np.full(dims, 1.0)), BinaryMask(tissue), 2, DX)
+    sp = build_speed(_vol(np.full(dims, 1.0)), BinaryMask(tissue), CFG)
     assert sp.g[2, 2, 2] == 1.0
     assert np.sum(sp.g) == 1.0
 
 
 def test_speed_p_validation():
-    with pytest.raises(ValueError):
-        build_speed(_vol(np.zeros((5, 5, 5))), _all_tissue((5, 5, 5)), 0, DX)
+    # the exponent is checked where it is configured
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        SolverConfig(p=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -69,7 +72,8 @@ def test_speed_p_validation():
 def test_speed_bounds_under_intensity_scaling(seed, scale, p):
     rng = np.random.default_rng(seed)
     vals = rng.uniform(0, 1, size=(6, 6, 6))
-    sp = build_speed(_vol(scale * vals), _all_tissue((6, 6, 6)), p, DX)
+    sp = build_speed(_vol(scale * vals), _all_tissue((6, 6, 6)),
+                     SolverConfig(p=p, dx=DX))
     assert np.all(sp.g > 0.0)
     assert np.all(sp.g <= 1.0)
 
@@ -78,7 +82,7 @@ def test_grad_g_is_np_gradient_of_g():
     rng = np.random.default_rng(5)
     dims = (7, 8, 9)
     tissue = BinaryMask(rng.random(dims) < 0.8)
-    sp = build_speed(_vol(rng.uniform(0, 1, size=dims)), tissue, 2, DX)
+    sp = build_speed(_vol(rng.uniform(0, 1, size=dims)), tissue, CFG)
     assert len(sp.grad_g) == 3
     for got, want in zip(sp.grad_g, np.gradient(sp.g, DX)):
         assert np.array_equal(got, want)
@@ -89,25 +93,26 @@ def test_grad_g_is_np_gradient_of_g():
 def test_cfl_geodesic1_constant_speed():
     # g = 1, zero gradients -> lambda = 1/3, dt = dx/3 = 1/30
     sp = _constant_field(1.0)
-    assert cfl_dt(sp, Model.GEODESIC1, dx=0.1) == pytest.approx(1.0 / 30.0)
+    assert cfl_dt(sp, SolverConfig(model=Model.GEODESIC1, dx=0.1)) == pytest.approx(1.0 / 30.0)
 
 
 def test_cfl_parabolic():
     sp = _constant_field(1.0)
-    assert cfl_dt(sp, Model.GEODESIC2, dx=0.1) == pytest.approx(0.0025, rel=1e-15)
+    assert cfl_dt(sp, SolverConfig(model=Model.GEODESIC2, dx=0.1)) == pytest.approx(
+        0.0025, rel=1e-15)
 
 
 def test_cfl_classical_half_speed():
     sp = _constant_field(0.5)
-    assert cfl_dt(sp, Model.CLASSICAL, dx=0.1) == pytest.approx(0.1 / 1.5)
+    assert cfl_dt(sp, SolverConfig(model=Model.CLASSICAL, dx=0.1)) == pytest.approx(0.1 / 1.5)
 
 
 def test_cfl_degenerate():
     sp = _constant_field(0.0)
     with pytest.raises(DegenerateSpeedError, match="degenerate speed field"):
-        cfl_dt(sp, Model.GEODESIC1)
+        cfl_dt(sp, SolverConfig(model=Model.GEODESIC1))
     with pytest.raises(DegenerateSpeedError):
-        cfl_dt(sp, Model.CLASSICAL)
+        cfl_dt(sp, SolverConfig(model=Model.CLASSICAL))
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,11 +121,11 @@ def test_cfl_standard_bound_at_unit_weights(seed, mu, eta):
     # for mu <= 1 and eta <= 1 the unweighted bound is the smaller, so the
     # step is bitwise the unweighted one
     rng = np.random.default_rng(seed)
-    sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 6, 6))), _all_tissue((6, 6, 6)), 2, DX)
+    sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 6, 6))), _all_tissue((6, 6, 6)), CFG)
     sup_g = np.abs(sp.g).max()
     sup_gx, sup_gy, sup_gz = (np.abs(c).max() for c in sp.grad_g)
     standard = (1.0 / (3.0 * sup_g + (sup_gx + sup_gy + sup_gz))) * DX
-    assert cfl_dt(sp, Model.GEODESIC1, mu=mu, eta=eta, dx=DX) == standard
+    assert cfl_dt(sp, SolverConfig(model=Model.GEODESIC1, mu=mu, eta=eta, dx=DX)) == standard
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,7 +137,7 @@ def test_cfl_equals_bound_over_sup_norms(seed, model, density, mu, eta):
     rng = np.random.default_rng(seed)
     tissue = rng.random((6, 7, 5)) < density
     tissue[3, 3, 2] = True
-    sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 7, 5))), BinaryMask(tissue), 2, DX)
+    sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 7, 5))), BinaryMask(tissue), CFG)
     sup_g = float(np.abs(sp.g).max())
     sup_gx, sup_gy, sup_gz = (float(np.abs(c).max()) for c in sp.grad_g)
     if model is Model.CLASSICAL:
@@ -142,7 +147,7 @@ def test_cfl_equals_bound_over_sup_norms(seed, model, density, mu, eta):
         want = 1.0 / max(3.0 * sup_g + grad_sum, 3.0 * mu * sup_g + eta * grad_sum) * DX
     else:
         want = 0.25 * DX * DX
-    assert cfl_dt(sp, model, mu=mu, eta=eta, dx=DX) == want
+    assert cfl_dt(sp, SolverConfig(model=model, mu=mu, eta=eta, dx=DX)) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -154,8 +159,8 @@ def test_cfl_monotone_bound(seed, model, mu, eta):
     # LLF dissipation coefficients: g per axis for the classical model,
     # mu*g + eta*|d g/d axis| for the geodesic one
     rng = np.random.default_rng(seed)
-    sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 6, 6))), _all_tissue((6, 6, 6)), 2, DX)
-    dt = cfl_dt(sp, model, mu=mu, eta=eta, dx=DX)
+    sp = build_speed(_vol(rng.uniform(0, 5, size=(6, 6, 6))), _all_tissue((6, 6, 6)), CFG)
+    dt = cfl_dt(sp, SolverConfig(model=model, mu=mu, eta=eta, dx=DX))
     g = sp.g
     if model is Model.CLASSICAL:
         alpha_sum = 3.0 * g
