@@ -22,14 +22,14 @@ from levelseg.speed import Model, build_speed, cfl_dt
 TARGET = 0.90
 
 
-def profile(cfg, raw, speed, seed, truth, check_every=10):
+def profile(cfg, raw, act, seed, truth, check_every=10):
     fld = init_levelset(raw.dims, seed, cfg, raw.spacing)
-    dt = cfl_dt(speed, cfg)
+    dt = cfl_dt(act, cfg)
     crossing = None
     t0 = time.perf_counter()
     curve = []
     for n in range(1, cfg.n_max + 1):
-        fld = step(fld, speed.active, cfg, dt)
+        fld = step(fld, act, cfg, dt)
         if n % check_every == 0:
             d = dice(extract_mask(fld), truth)
             curve.append((n, d))
@@ -50,13 +50,13 @@ def main():
     truth = truth_left if args.side == "left" else truth_right
     seed = tube_seed(spec, args.side)
     configs = [suite_config(args.phantom, model) for model in Model]
-    # the suite configs differ only in model and budget: one speed field
+    # the suite configs differ only in model and budget: one active set
     image, tissue = preprocess_pipeline(raw, configs[0].sigma)
-    speed = build_speed(image, tissue, configs[0])
+    act = build_speed(image, tissue, configs[0])
 
     crossings = {}
     for cfg in configs:
-        dt, curve, crossing, wall = profile(cfg, raw, speed, seed, truth)
+        dt, curve, crossing, wall = profile(cfg, raw, act, seed, truth)
         print(f"\n{cfg.model.value}: dt = {dt:.5g}, {cfg.n_max} iterations, {wall:.1f}s")
         for n, d in curve[:: max(1, len(curve) // 10)]:
             print(f"  n={n:5d}  dice={d:.4f}")

@@ -2,6 +2,7 @@
 evolution with Lax-Friedrichs finite differences, CT-style preprocessing,
 connected-component cleanup and segmentation metrics."""
 
+from .active import ActiveSet
 from .metrics import MetricsReport, assd, compute_report, dice, hausdorff, jaccard, surface_voxels
 from .phantom import OrganSpec, PhantomSpec, TubeSpec, default_suite, generate_phantom, tube_seed
 from .postprocess import clean_spurious, postprocess, reduce_components
@@ -23,7 +24,7 @@ from .solver import (
     llf_hamiltonian,
     step,
 )
-from .speed import Model, SpeedField, build_speed, cfl_dt
+from .speed import Model, build_speed, cfl_dt
 from .volumes import (
     BinaryMask,
     ScalarVolume,

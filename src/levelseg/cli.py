@@ -65,14 +65,14 @@ def _slice_contours(mask: BinaryMask):
 
 
 def cmd_segment(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = SolverConfig(model=Model(args.model), sigma=args.sigma, mu=args.mu,
                        eta=args.eta, epsilon=args.epsilon, p=args.p, dx=args.dx,
                        n_max=args.nmax, stagnation_window=args.stagnation_window)
     raw = load_volume(args.input)
     if args.postprocess and args.start_slice is not None:
         check_start_slice(args.start_slice, raw.dims[2])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     timing = {"model": args.model, "n_max": args.nmax, "sides": {}}
     merged = np.zeros(raw.dims, dtype=bool)

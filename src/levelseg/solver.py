@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .active import STENCIL, ActiveSet
+from .active import ActiveSet
 from .preprocess import preprocess_pipeline
 from .speed import Model, build_speed, cfl_dt
 from .volumes import BinaryMask, ScalarVolume, VoxelIndex
@@ -168,26 +168,17 @@ def llf_hamiltonian(model: Model, g, grad_g, diffs, mu, eta, work=None):
     return h
 
 
-def curvature_3d(v, dx, work=None):
+def curvature_3d(nb, dx, work=None):
     """Mean-curvature term div(Dv/|Dv|) by centered differences.
 
-    `v` is a 3-D array, whose faces are handled by edge replication, or a
-    (19, N) array of a field's values at the `STENCIL` neighbours of N
-    voxels, as `step` gathers them.  The denominator is regularized by
-    `CURVATURE_DELTA` where |Dv| vanishes.  The three axes are evaluated at
-    once, on (3, N) stacks.  The result, and the centred gradient
-    (v+ - v-)/(2 dx) as the (3, N) array "grad", are arrays of `work`, a
-    `Workspace` of the shape of one row (a new one when None).
+    `nb` is a (19, N) array of a field's values at the `STENCIL`
+    neighbours of N voxels, as `step` gathers them.  The denominator is
+    regularized by `CURVATURE_DELTA` where |Dv| vanishes.  The three axes
+    are evaluated at once, on (3, N) stacks.  The result, and the centred
+    gradient (v+ - v-)/(2 dx) as the (3, N) array "grad", are arrays of
+    `work`, a `Workspace` of the shape of one row (a new one when None).
     """
-    nb = np.asarray(v, dtype=np.float64)
-    if nb.ndim == 3:
-        w = work or Workspace(nb.shape)
-        pad = np.pad(nb, 1, mode="edge")
-        nx, ny, nz = nb.shape
-        nb = np.stack([pad[1 + a:1 + a + nx, 1 + b:1 + b + ny, 1 + c:1 + c + nz]
-                       for a, b, c in STENCIL], out=w("nb", len(STENCIL)))
-    else:
-        w = work or Workspace(nb.shape[1:])
+    w = work or Workspace(nb.shape[1:])
     c, plus, minus = nb[0], nb[1:7:2], nb[2:7:2]
     # per plane (xy, xz, yz): the ++, --, +- and -+ diagonal neighbours
     diag = nb[7:19].reshape((3, 4) + nb.shape[1:])
@@ -297,11 +288,11 @@ def extract_mask(fld: LevelSetField) -> BinaryMask:
 
 
 def _prepare(raw_vol: ScalarVolume, cfg: SolverConfig, seeds):
-    """Check every seed, preprocess and build the speed field; return the
-    time step and, per seed, its initial field and the components of the
-    active set that field reaches, with the step's table built.  The
-    full-grid image, tissue mask, g, grad g and component labels and the
-    whole active set are freed on return; seeds that reach the same
+    """Check every seed, preprocess and build the whole active set of the
+    speed field; return the time step and, per seed, its initial field and
+    the components of the whole set that field reaches, with the step's
+    table built.  The full-grid image, tissue mask and component labels
+    and the whole set are freed on return; seeds that reach the same
     components share one set."""
     if not seeds or None in seeds:
         raise SeedError("no seed given")
@@ -313,11 +304,9 @@ def _prepare(raw_vol: ScalarVolume, cfg: SolverConfig, seeds):
         if not tissue.values[seed.i, seed.j, seed.k]:
             raise SeedError(f"seed {seed.as_tuple()} lies outside the tissue mask")
         _check_margin(raw_vol.dims, seed, cfg.seed_radius_voxels)
-    speed = build_speed(image, tissue, cfg)
+    whole = build_speed(image, tissue, cfg)
     del image, tissue
-    dt = cfl_dt(speed, cfg)
-    whole = speed.active
-    del speed
+    dt = cfl_dt(whole, cfg)
     labels = whole.components()
     table = "stencil" if cfg.model is Model.GEODESIC2 else "faces"
     sets, runs = {}, []
@@ -367,15 +356,15 @@ def evolve(raw_vol: ScalarVolume, cfg: SolverConfig, seeds) -> list[EvolutionRes
     A run of one seed passes a list of one.
 
     Every seed is checked before any work starts.  The volume is
-    preprocessed and the speed field built once.  Each seed is then
-    stepped only on the 18-connected components of the active set that its
-    initial sphere reaches (see `levelseg.active` for why the masks are
-    unchanged).  The first seed's loop runs on the calling thread and each
-    further seed's on a worker thread, each reading its own set, or one it
-    shares read-only with seeds that reach the same components.  numpy
-    releases the GIL inside its array loops, so the loops overlap.  When a
-    loop raises, the others stop at their next step and the exception
-    propagates.
+    preprocessed and the active set of its speed field built once.  Each
+    seed is then stepped only on the 18-connected components of that set
+    that its initial sphere reaches (see `levelseg.active` for why the
+    masks are unchanged).  The first seed's loop runs on the calling
+    thread and each further seed's on a worker thread, each reading its
+    own set, or one it shares read-only with seeds that reach the same
+    components.  numpy releases the GIL inside its array loops, so the
+    loops overlap.  When a loop raises, the others stop at their next step
+    and the exception propagates.
     """
     seeds = list(seeds)
     runs, dt = _prepare(raw_vol, cfg, seeds)

@@ -1,9 +1,7 @@
 """Edge-stopping velocity field, its gradient and the CFL time-step bounds."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -21,40 +19,27 @@ class DegenerateSpeedError(Exception):
     pass
 
 
-@dataclass
-class SpeedField:
-    """The velocity `g` and its gradient `grad_g`, the tuple
-    (d/dx, d/dy, d/dz) that `np.gradient(g, dx)` returns: 3-D arrays of
-    one shape."""
-
-    g: np.ndarray
-    grad_g: tuple
-
-    @cached_property
-    def active(self) -> ActiveSet:
-        """The whole active set, where the update can move the front, made
-        at its first read and cached; `evolve` splits it into the parts its
-        seeds reach and frees the field before any step."""
-        return ActiveSet.of_speed(self.g, self.grad_g)
-
-
 # `cfg` is a `levelseg.solver.SolverConfig`, read by attribute: the solver
 # imports this module, so this one does not import it
-def build_speed(preprocessed: ScalarVolume, tissue: BinaryMask, cfg) -> SpeedField:
-    """Velocity g = 1/(1 + |grad I|^p), zeroed outside the tissue mask,
-    with the centred gradient of that g (one-sided on the grid faces); `p`
-    and the grid step `dx` are `cfg`'s."""
+def build_speed(preprocessed: ScalarVolume, tissue: BinaryMask, cfg) -> ActiveSet:
+    """The active set of the velocity g = 1/(1 + |grad I|^p), zeroed
+    outside the tissue mask, and of the centred gradient of that g
+    (one-sided on the grid faces): the voxels where g or a component of
+    grad g is nonzero, with both there.  `p` and the grid step `dx` are
+    `cfg`'s."""
     ix, iy, iz = np.gradient(preprocessed.values, cfg.dx)
-    mag = np.sqrt(ix * ix + iy * iy + iz * iz)
-    g = 1.0 / (1.0 + mag**cfg.p)
+    g = 1.0 / (1.0 + np.sqrt(ix * ix + iy * iy + iz * iz)**cfg.p)
+    # freed before g's gradient and active set are made, at the peak of memory
+    del ix, iy, iz
     g[~tissue.values] = 0.0
-    return SpeedField(g, tuple(np.gradient(g, cfg.dx)))
+    return ActiveSet.of_speed(g, np.gradient(g, cfg.dx))
 
 
-def cfl_dt(speed: SpeedField, cfg) -> float:
+def cfl_dt(act: ActiveSet, cfg) -> float:
     """Stable explicit time step for `cfg.model`, from the sup-norms of
-    `speed.g` and of each component of `speed.grad_g`, with `cfg`'s `mu`,
-    `eta` and `dx`.
+    `act.g` and of each row of `act.grad_g`, with `cfg`'s `mu`, `eta` and
+    `dx`.  Outside the active set g and grad g are 0, so these are the
+    sup-norms over the whole grid; over an empty set they are 0.
 
     Classical: dt = dx / (3*sup g).  First-order geodesic: dt = lambda*dx
     with lambda the smaller of 1/(3*sup g + sum of gradient sup-norms) and
@@ -67,11 +52,11 @@ def cfl_dt(speed: SpeedField, cfg) -> float:
     dx = cfg.dx
     if cfg.model is Model.GEODESIC2:
         return 0.25 * dx * dx
-    sup_g = float(np.abs(speed.g).max())
+    sup_g = float(np.abs(act.g).max(initial=0.0))
     if sup_g == 0.0:
         raise DegenerateSpeedError("degenerate speed field: g is identically zero")
     if cfg.model is Model.CLASSICAL:
         return dx / (3.0 * sup_g)
-    grad_sum = sum(float(np.abs(c).max()) for c in speed.grad_g)
+    grad_sum = sum(float(np.abs(c).max(initial=0.0)) for c in act.grad_g)
     lam = 1.0 / max(3.0 * sup_g + grad_sum, 3.0 * cfg.mu * sup_g + cfg.eta * grad_sum)
     return lam * dx

@@ -11,6 +11,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
+from levelseg.active import ActiveSet
 from levelseg.metrics import assd, dice, hausdorff, jaccard, surface_voxels
 from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_config, suite_spec, tube_seed
 from levelseg.postprocess import clean_spurious, postprocess
@@ -18,14 +19,13 @@ from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import (
     LevelSetField,
     SolverConfig,
-    curvature_3d,
     evolve,
     extract_mask,
     init_levelset,
     llf_hamiltonian,
     step,
 )
-from levelseg.speed import Model, SpeedField, build_speed, cfl_dt
+from levelseg.speed import Model, build_speed, cfl_dt
 from levelseg.volumes import BinaryMask, ScalarVolume, VoxelIndex
 
 DX = 0.1
@@ -39,9 +39,10 @@ def _report(record, name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _speed_from_g(g_arr, dx=DX):
+def _active_from_g(g_arr, dx=DX):
+    """The active set of the speed field g, as `build_speed` makes it."""
     g = np.asarray(g_arr, dtype=float)
-    return SpeedField(g, tuple(np.gradient(g, dx)))
+    return ActiveSet.of_speed(g, np.gradient(g, dx))
 
 
 # 1 -----------------------------------------------------------------------
@@ -81,17 +82,17 @@ def test_criterion_monotonicity(record_criterion):
     violations = 0
     worst = 0.0
     for model in (Model.CLASSICAL, Model.GEODESIC1):
-        sp = _speed_from_g(rng.uniform(0.2, 1.0, size=dims))
+        act = _active_from_g(rng.uniform(0.2, 1.0, size=dims))
         cfg = SolverConfig(model=model, dx=DX)
-        dt = cfl_dt(sp, cfg)
+        dt = cfl_dt(act, cfg)
         for _ in range(10):
             u = rng.standard_normal(dims) * 0.1
-            base = step(LevelSetField(ScalarVolume(u)), sp.active, cfg, dt).volume.values
+            base = step(LevelSetField(ScalarVolume(u)), act, cfg, dt).volume.values
             for _ in range(50):
                 i, j, k = rng.integers(0, 9, size=3)
                 bumped = u.copy()
                 bumped[i, j, k] += rng.uniform(0.001, 0.05)
-                out = step(LevelSetField(ScalarVolume(bumped)), sp.active, cfg, dt).volume.values
+                out = step(LevelSetField(ScalarVolume(bumped)), act, cfg, dt).volume.values
                 # face replication couples a face voxel to itself outside
                 # the monotone stencil form; check the interior
                 inner = (slice(1, -1),) * 3
@@ -113,16 +114,16 @@ def test_criterion_eikonal_expansion(record_criterion):
     t0 = time.perf_counter()
     dims = (64, 64, 64)
     seed = VoxelIndex(31, 31, 31)
-    sp = _speed_from_g(np.ones(dims))
+    act = _active_from_g(np.ones(dims))
     cfg = SolverConfig(model=Model.CLASSICAL, dx=DX, seed_radius_voxels=5.0)
     # any dt at or below the CFL bound is admissible; a quarter keeps the
     # front well inside the 64^3 domain over 100 steps (the full bound
     # would push the radius past the boundary) and limits the accumulated
     # first-order viscosity lag, which grows with distance travelled
-    dt = 0.25 * cfl_dt(sp, cfg)
+    dt = 0.25 * cfl_dt(act, cfg)
     fld = init_levelset(dims, seed, cfg, (1.0, 1.0, 1.0))
     for _ in range(100):
-        fld = step(fld, sp.active, cfg, dt)
+        fld = step(fld, act, cfg, dt)
     mask = extract_mask(fld).values
     ii, jj, kk = np.meshgrid(*[np.arange(64)] * 3, indexing="ij")
     dist = np.sqrt((ii - 31) ** 2 + (jj - 31) ** 2 + (kk - 31) ** 2)
@@ -138,7 +139,7 @@ def test_criterion_eikonal_expansion(record_criterion):
 
 # 4 -----------------------------------------------------------------------
 
-def test_criterion_curvature_oracle(record_criterion):
+def test_criterion_curvature_oracle(record_criterion, grid_curvature):
     """Sphere SDF of radius 10*dx reproduces 2/R within 15%, refining."""
     t0 = time.perf_counter()
 
@@ -146,7 +147,7 @@ def test_criterion_curvature_oracle(record_criterion):
         c = (n - 1) / 2.0
         ii, jj, kk = np.meshgrid(*[np.arange(n)] * 3, indexing="ij")
         v = dx * np.sqrt((ii - c) ** 2 + (jj - c) ** 2 + (kk - c) ** 2) - radius
-        kappa = curvature_3d(v, dx)
+        kappa = grid_curvature(v, dx)
         near = np.abs(v) <= 0.5 * dx
         return float(np.abs(kappa[near] - 2.0 / radius).max() / (2.0 / radius))
 
@@ -168,14 +169,14 @@ def test_criterion_second_order_epsilon_zero(record_criterion):
     dims = (17, 17, 17)
     worst = 0.0
     for _ in range(10):
-        sp = _speed_from_g(rng.uniform(0.1, 1.0, size=dims))
+        act = _active_from_g(rng.uniform(0.1, 1.0, size=dims))
         u = rng.standard_normal(dims)
         fld = LevelSetField(ScalarVolume(u))
         dt = 0.0025
         cfg1 = SolverConfig(model=Model.GEODESIC1)
         cfg2 = SolverConfig(model=Model.GEODESIC2, epsilon=0.0)
-        a = step(fld, sp.active, cfg1, dt).volume.values
-        b = step(fld, sp.active, cfg2, dt).volume.values
+        a = step(fld, act, cfg1, dt).volume.values
+        b = step(fld, act, cfg2, dt).volume.values
         worst = max(worst, float(np.abs(a - b).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 5.0
@@ -249,15 +250,15 @@ def test_criterion_cost_gap(record_criterion):
     seed = tube_seed(spec, "left")
     sigma = SUITE_PARAMS["easy"]["sigma"]
     image, tissue = preprocess_pipeline(raw, sigma)
-    speed = build_speed(image, tissue, SolverConfig(p=2, dx=DX))
+    act = build_speed(image, tissue, SolverConfig(p=2, dx=DX))
 
     def iterations_to_dice(model, n_cap, target=0.90):
         cfg = SolverConfig(model=model, dx=DX, seed_radius_voxels=5.0)
         fld = init_levelset(raw.dims, seed, cfg, raw.spacing)
-        dt = cfl_dt(speed, cfg)
+        dt = cfl_dt(act, cfg)
         t0 = time.perf_counter()
         for n in range(1, n_cap + 1):
-            fld = step(fld, speed.active, cfg, dt)
+            fld = step(fld, act, cfg, dt)
             if dice(extract_mask(fld), truth_left) >= target:
                 return n, time.perf_counter() - t0
         return None, time.perf_counter() - t0

@@ -100,9 +100,14 @@ def test_segment_end_to_end(phantom_dir, tmp_path, capsys):
     assert timing["sides"]["left"]["iterations"] == 250
     # each side steps the 18-connected component of the active set that
     # holds its seed; the two tubes' components make up the whole set
+    # (g and grad g from their formula, on the whole grid, with the
+    # defaults of `p` and `dx` that the run used)
+    cfg = SolverConfig()
     image, tissue = preprocess_pipeline(load_volume(phantom_dir / "volume.json"), 1.75)
-    sp = build_speed(image, tissue, SolverConfig())
-    active = (sp.g != 0) | np.any([c != 0 for c in sp.grad_g], axis=0)
+    ix, iy, iz = np.gradient(image.values, cfg.dx)
+    g = 1.0 / (1.0 + np.sqrt(ix * ix + iy * iy + iz * iz)**cfg.p)
+    g[~tissue.values] = 0.0
+    active = (g != 0) | np.any([c != 0 for c in np.gradient(g, cfg.dx)], axis=0)
     labels, count = ndimage.label(active, ndimage.generate_binary_structure(3, 2))
     assert count == 2
     for side, seed in (("left", (22, 40, 20)), ("right", (57, 40, 20))):
@@ -427,6 +432,25 @@ def test_segment_start_slice_out_of_range(phantom_dir, tmp_path, capsys, monkeyp
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: start slice {start} out of range"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--p", "0"], "error: p must be >= 1"),
+    (["--input", "missing.json"], "error:"),
+    (["--postprocess", "--start-slice", "41"], "error: start slice 41 out of range"),
+], ids=["bad-option", "missing-input", "start-slice"])
+def test_segment_rejected_run_makes_no_out_dir(phantom_dir, tmp_path, capsys, args, message):
+    # the options and the volume are checked before `--out` is made
+    out = tmp_path / "x"
+    rc = main([
+        "segment", "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "gmfd1", "--nmax", "1", "--out", str(out),
+    ] + [str(tmp_path / a) if a.endswith(".json") else a for a in args])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert not out.exists()
 
 
 def test_bench_iters_cover_both_sides(monkeypatch, capsys):

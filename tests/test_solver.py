@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from levelseg import solver
-from levelseg.active import CONNECTIVITY
+from levelseg.active import CONNECTIVITY, ActiveSet
 from levelseg.metrics import dice
 from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_config, suite_spec, tube_seed
 from levelseg.postprocess import postprocess
@@ -22,14 +22,13 @@ from levelseg.solver import (
     LevelSetField,
     SeedError,
     SolverConfig,
-    curvature_3d,
     evolve,
     extract_mask,
     init_levelset,
     llf_hamiltonian,
     step,
 )
-from levelseg.speed import Model, SpeedField, build_speed, cfl_dt
+from levelseg.speed import Model, build_speed, cfl_dt
 from levelseg.volumes import ScalarVolume, VoxelIndex
 
 DX = 0.1
@@ -38,13 +37,23 @@ UNIT = (1.0, 1.0, 1.0)
 CFG = SolverConfig(dx=DX, seed_radius_voxels=5.0)
 
 
-def _speed_from_g(g_arr, dx=DX):
+def _active_from_g(g_arr, dx=DX):
+    """The active set of the speed field g, as `build_speed` makes it."""
     g = np.asarray(g_arr, dtype=float)
-    return SpeedField(g, tuple(np.gradient(g, dx)))
+    return ActiveSet.of_speed(g, np.gradient(g, dx))
 
 
-def _unit_speed(dims):
-    return _speed_from_g(np.ones(dims))
+def _unit_active(dims):
+    return _active_from_g(np.ones(dims))
+
+
+def _grid(act, values):
+    """The full grid of `act`: `values` on the set, 0 elsewhere.  Outside
+    the set g and every component of grad g are 0, so this rebuilds them
+    exactly."""
+    grid = np.zeros(act.shape, np.asarray(values).dtype)
+    grid.put(act.index, values)
+    return grid
 
 
 # ----------------------------------------------------------- init_levelset
@@ -141,40 +150,40 @@ def _sphere_sdf(dims, center, dx):
     return dx * d
 
 
-def test_curvature_plane_zero():
+def test_curvature_plane_zero(grid_curvature):
     ii = np.arange(9)[:, None, None] * np.ones((1, 9, 9))
-    kappa = curvature_3d(0.3 * ii, DX)
+    kappa = grid_curvature(0.3 * ii, DX)
     assert np.allclose(kappa[2:-2, 2:-2, 2:-2], 0.0, atol=1e-10)
 
 
-def test_curvature_sphere():
+def test_curvature_sphere(grid_curvature):
     dims = (41, 41, 41)
     radius = 10 * DX
     v = _sphere_sdf(dims, (20, 20, 20), DX) - radius
-    kappa = curvature_3d(v, DX)
+    kappa = grid_curvature(v, DX)
     near = np.abs(v) < 0.5 * DX  # voxels adjacent to the front
     vals = kappa[near]
     assert np.allclose(vals, 2.0 / radius, rtol=0.15)
 
 
-def test_curvature_cylinder():
+def test_curvature_cylinder(grid_curvature):
     dims = (41, 41, 9)
     radius = 10 * DX
     ii, jj = np.meshgrid(np.arange(41), np.arange(41), indexing="ij")
     d2 = DX * np.sqrt((ii - 20) ** 2 + (jj - 20) ** 2) - radius
     v = np.repeat(d2[:, :, None], 9, axis=2)
-    kappa = curvature_3d(v, DX)
+    kappa = grid_curvature(v, DX)
     near = np.abs(v[:, :, 4]) < 0.5 * DX
     assert np.allclose(kappa[:, :, 4][near], 1.0 / radius, rtol=0.15)
 
 
-def test_curvature_refines():
+def test_curvature_refines(grid_curvature):
     radius = 1.0
 
     def max_err(dx, n):
         c = (n - 1) / 2.0
         v = _sphere_sdf((n, n, n), (c, c, c), dx) - radius
-        kappa = curvature_3d(v, dx)
+        kappa = grid_curvature(v, dx)
         near = np.abs(v) < 0.5 * dx
         return np.abs(kappa[near] - 2.0 / radius).max()
 
@@ -188,11 +197,11 @@ def test_curvature_refines():
 def test_step_zero_speed_is_noop():
     dims = (15, 15, 15)
     fld = init_levelset(dims, VoxelIndex(7, 7, 7), CFG, UNIT)
-    sp = _speed_from_g(np.zeros(dims))
-    assert sp.active.index.size == 0
+    act = _active_from_g(np.zeros(dims))
+    assert act.index.size == 0
     for model in Model:
         cfg = SolverConfig(model=model)
-        out = step(fld, sp.active, cfg, 0.01)
+        out = step(fld, act, cfg, 0.01)
         assert np.array_equal(out.volume.values, fld.volume.values)
         assert out.n == fld.n + 1
 
@@ -203,12 +212,12 @@ def test_step_eikonal_expansion_short():
     dims = (33, 33, 33)
     seed = VoxelIndex(16, 16, 16)
     fld = init_levelset(dims, seed, CFG, UNIT)
-    sp = _unit_speed(dims)
+    act = _unit_active(dims)
     cfg = SolverConfig(model=Model.CLASSICAL)
     dt = DX / 3.0
     n = 20
     for _ in range(n):
-        fld = step(fld, sp.active, cfg, dt)
+        fld = step(fld, act, cfg, dt)
     mask = extract_mask(fld).values
     ii, jj, kk = np.meshgrid(*[np.arange(33)] * 3, indexing="ij")
     dist = np.sqrt((ii - 16) ** 2 + (jj - 16) ** 2 + (kk - 16) ** 2)
@@ -224,14 +233,14 @@ def test_step_classical_nonincreasing_away_from_tip():
     dims = (21, 21, 21)
     seed = VoxelIndex(10, 10, 10)
     fld = init_levelset(dims, seed, CFG, UNIT)
-    sp = _unit_speed(dims)
+    act = _unit_active(dims)
     cfg = SolverConfig(model=Model.CLASSICAL)
     ii, jj, kk = np.meshgrid(*[np.arange(21)] * 3, indexing="ij")
     away = (ii - 10) ** 2 + (jj - 10) ** 2 + (kk - 10) ** 2 >= 25
     prev = fld.volume.values
     prev_count = extract_mask(fld).count()
     for _ in range(10):
-        fld = step(fld, sp.active, cfg, DX / 3.0)
+        fld = step(fld, act, cfg, DX / 3.0)
         assert np.all(fld.volume.values[away] <= prev[away] + 1e-12)
         count = extract_mask(fld).count()
         assert count >= prev_count
@@ -242,15 +251,15 @@ def test_step_epsilon_zero_matches_first_order():
     dims = (17, 17, 17)
     seed = VoxelIndex(8, 8, 8)
     rng = np.random.default_rng(31)
-    sp = _speed_from_g(rng.uniform(0.2, 1.0, size=dims))
+    act = _active_from_g(rng.uniform(0.2, 1.0, size=dims))
     fld = init_levelset(dims, seed, CFG, UNIT)
     cfg1 = SolverConfig(model=Model.GEODESIC1)
     cfg2 = SolverConfig(model=Model.GEODESIC2, epsilon=0.0)
     dt = 0.0025
     a, b = fld, fld
     for _ in range(5):
-        a = step(a, sp.active, cfg1, dt)
-        b = step(b, sp.active, cfg2, dt)
+        a = step(a, act, cfg1, dt)
+        b = step(b, act, cfg2, dt)
     assert np.max(np.abs(a.volume.values - b.volume.values)) <= 1e-12
 
 
@@ -260,16 +269,16 @@ def test_step_monotone_under_cfl():
     # itself, which is outside the scheme's monotone stencil form)
     dims = (9, 9, 9)
     rng = np.random.default_rng(41)
-    sp = _speed_from_g(rng.uniform(0.2, 1.0, size=dims))
+    act = _active_from_g(rng.uniform(0.2, 1.0, size=dims))
     cfg = SolverConfig(model=Model.GEODESIC1)
-    dt = cfl_dt(sp, cfg)
+    dt = cfl_dt(act, cfg)
     u = rng.standard_normal(dims) * 0.1
-    base = step(LevelSetField(ScalarVolume(u)), sp.active, cfg, dt).volume.values
+    base = step(LevelSetField(ScalarVolume(u)), act, cfg, dt).volume.values
     for _ in range(200):
         i, j, k = rng.integers(1, 8, size=3)
         bumped = u.copy()
         bumped[i, j, k] += rng.uniform(0.001, 0.05)
-        out = step(LevelSetField(ScalarVolume(bumped)), sp.active, cfg, dt).volume.values
+        out = step(LevelSetField(ScalarVolume(bumped)), act, cfg, dt).volume.values
         inner = (slice(1, -1),) * 3
         assert np.all(out[inner] >= base[inner] - 1e-12)
 
@@ -277,13 +286,13 @@ def test_step_monotone_under_cfl():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_blowup_detected():
     dims = (9, 9, 9)
-    sp = _unit_speed(dims)
+    act = _unit_active(dims)
     cfg = SolverConfig(model=Model.CLASSICAL)
     u = np.zeros(dims)
     u[4, 4, 4] = 1e308
     fld = LevelSetField(ScalarVolume(u), n=6)
     with pytest.raises(BlowupError, match="iteration 7"):
-        step(fld, sp.active, cfg, 1e6)
+        step(fld, act, cfg, 1e6)
 
 
 # --------------------------------------------- step on the active set only
@@ -326,12 +335,14 @@ def _full_grid_curvature(u, dx, delta):
     return num / (sq + delta) ** 1.5
 
 
-def _full_grid_step(fld, speed, cfg, dt):
+def _full_grid_step(fld, act, cfg, dt):
     """Reference: the explicit update evaluated on every voxel, with
-    whole-grid differences, np.gradient and edge-padded curvature."""
+    whole-grid differences, np.gradient and edge-padded curvature, and g
+    and grad g scattered from the active set `act` to the whole grid."""
     u = fld.volume.values
-    g = speed.g
-    h = llf_hamiltonian(cfg.model, g, speed.grad_g, _full_grid_upwind(u, cfg.dx), cfg.mu, cfg.eta)
+    g = _grid(act, act.g)
+    grad_g = [_grid(act, c) for c in act.grad_g]
+    h = llf_hamiltonian(cfg.model, g, grad_g, _full_grid_upwind(u, cfg.dx), cfg.mu, cfg.eta)
     if cfg.model is Model.GEODESIC2:
         kappa = _full_grid_curvature(u, cfg.dx, 1e-8)
         cx, cy, cz = np.gradient(u, cfg.dx)
@@ -356,12 +367,12 @@ def test_step_equals_full_grid_oracle(model, dims, density, seed):
     hi = [rng.integers(a, n + 1) for a, n in zip(lo, dims)]
     g[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = 0.0
     g[np.ix_(*[[0, n - 1] for n in dims])] = rng.uniform(0.05, 1.0, (2, 2, 2))
-    sp = _speed_from_g(g)
+    act = _active_from_g(g)
     cfg = SolverConfig(model=model)
     fld = ref = LevelSetField(ScalarVolume(rng.standard_normal(dims) * 0.3))
     for _ in range(3):
-        fld = step(fld, sp.active, cfg, 0.002)
-        ref = _full_grid_step(ref, sp, cfg, 0.002)
+        fld = step(fld, act, cfg, 0.002)
+        ref = _full_grid_step(ref, act, cfg, 0.002)
         assert np.array_equal(fld.volume.values, ref.volume.values)
 
 
@@ -375,13 +386,13 @@ def easy_speed():
 
 @pytest.mark.parametrize("model", list(Model))
 def test_step_equals_full_grid_oracle_on_easy(easy_speed, model):
-    raw, seed, sp = easy_speed
+    raw, seed, act = easy_speed
     cfg = SolverConfig(model=model)
-    dt = cfl_dt(sp, cfg)
+    dt = cfl_dt(act, cfg)
     fld = ref = init_levelset(raw.dims, seed, cfg, raw.spacing)
     for _ in range(50):
-        fld = step(fld, sp.active, cfg, dt)
-        ref = _full_grid_step(ref, sp, cfg, dt)
+        fld = step(fld, act, cfg, dt)
+        ref = _full_grid_step(ref, act, cfg, dt)
         assert np.array_equal(fld.volume.values, ref.volume.values)
     assert fld.n == ref.n == 50
 
@@ -394,15 +405,15 @@ def test_step_equals_full_grid_oracle_on_all_faces(model):
     rng = np.random.default_rng(23)
     g = rng.uniform(0.05, 1.0, dims)
     g[2:4, 2:5, 2:6] = 0.0
-    sp = _speed_from_g(g)
-    coords = np.unravel_index(sp.active.index, dims)
+    act = _active_from_g(g)
+    coords = np.unravel_index(act.index, dims)
     for axis, n in enumerate(dims):
         assert (coords[axis] == 0).any() and (coords[axis] == n - 1).any()
     cfg = SolverConfig(model=model)
     fld = ref = LevelSetField(ScalarVolume(rng.standard_normal(dims) * 0.3))
     for _ in range(5):
-        fld = step(fld, sp.active, cfg, 0.002)
-        ref = _full_grid_step(ref, sp, cfg, 0.002)
+        fld = step(fld, act, cfg, 0.002)
+        ref = _full_grid_step(ref, act, cfg, 0.002)
         assert np.array_equal(fld.volume.values, ref.volume.values)
 
 
@@ -412,28 +423,27 @@ def test_step_is_pure_and_reuses_tables():
     g = rng.uniform(0.2, 1.0, dims)
     g[:5] = 0.0
     for model in Model:
-        sp = _speed_from_g(g)
+        act = _active_from_g(g)
         cfg = SolverConfig(model=model, seed_radius_voxels=3.0)
         fld = init_levelset(dims, VoxelIndex(5, 5, 5), cfg, UNIT)
         before = fld.volume.values.copy()
-        out = step(fld, sp.active, cfg, 0.0025)
+        out = step(fld, act, cfg, 0.0025)
         assert np.array_equal(fld.volume.values, before)
         assert out.volume.values is not fld.volume.values
         # the active set is where g or grad g is nonzero; nothing else moves
-        gx, gy, gz = sp.grad_g
+        gx, gy, gz = np.gradient(g, DX)
         active = (g != 0) | (gx != 0) | (gy != 0) | (gz != 0)
-        assert np.array_equal(np.flatnonzero(active), sp.active.index)
+        assert np.array_equal(np.flatnonzero(active), act.index)
         assert not active[:4].any()
         assert np.array_equal(out.volume.values[~active], before[~active])
         # one gather table per model: the 19-point stencil for gmfd2, the
         # 7-point faces table, its first seven rows, for the others
-        act = sp.active
         name = "stencil" if model is Model.GEODESIC2 else "faces"
         table = getattr(act, name)
         assert set(vars(act)) & {"stencil", "faces"} == {name}
         for _ in range(3):
-            out = step(out, sp.active, cfg, 0.0025)
-        assert sp.active is act and getattr(act, name) is table
+            out = step(out, act, cfg, 0.0025)
+        assert getattr(act, name) is table
         assert np.array_equal(act.faces, act.stencil[:7])
 
 
@@ -443,13 +453,12 @@ def test_gmfd1_geodesic_bias_is_the_zero_speed_ring(easy_speed):
     # zero, while gmfd1's advective term -eta grad g . Dv carries the front
     # one ring out: the raw left mask fills the seed's component of the
     # active set, and its voxels outside the truth are exactly that ring
-    raw, seed, sp = easy_speed
+    raw, seed, act = easy_speed
     _, truth, _ = generate_phantom(suite_spec("easy"))
-    gx, gy, gz = sp.grad_g
-    active = (sp.g != 0) | (gx != 0) | (gy != 0) | (gz != 0)
+    active = _grid(act, np.ones(act.index.size, bool))
     labels, _ = ndimage.label(active, CONNECTIVITY)
     component = labels == labels[seed.as_tuple()]
-    ring = sp.g == 0
+    ring = _grid(act, act.g) == 0
     geodesic, = evolve(raw, suite_config("easy", Model.GEODESIC1), [seed])
     mask = geodesic.mask.values
     assert np.array_equal(mask, component) and mask.sum() == 18_081
@@ -532,16 +541,16 @@ def test_evolve_early_stop_stagnation():
     assert result.iterations < 5000
 
 
-def _whole_set_loop(sp, dims, cfg, seed, act=None):
-    """Reference: `step` on the whole active set of `sp` (or on `act`) from
+def _whole_set_loop(whole, dims, cfg, seed, act=None):
+    """Reference: `step` on the whole active set `whole` (or on `act`) from
     the sphere at `seed`, to `cfg.n_max` steps or, with a nonzero
     `cfg.stagnation_window`, until the whole-grid mask has not changed for
     that many consecutive steps."""
     fld = init_levelset(dims, seed, cfg, UNIT)
-    dt = cfl_dt(sp, cfg)
+    dt = cfl_dt(whole, cfg)
     prev, stagnant = None, 0
     while fld.n < cfg.n_max:
-        fld = step(fld, sp.active if act is None else act, cfg, dt)
+        fld = step(fld, whole if act is None else act, cfg, dt)
         if cfg.stagnation_window:
             mask = extract_mask(fld).values
             stagnant = stagnant + 1 if prev is not None and np.array_equal(mask, prev) else 0
@@ -552,10 +561,10 @@ def _whole_set_loop(sp, dims, cfg, seed, act=None):
 
 
 def _whole_set_reference(vol, cfg, seed):
-    """`_whole_set_loop` on the speed field `evolve` builds for `vol`."""
+    """`_whole_set_loop` on the active set `evolve` builds for `vol`."""
     image, tissue = preprocess_pipeline(vol, cfg.sigma)
-    sp = build_speed(image, tissue, cfg)
-    return _whole_set_loop(sp, vol.dims, cfg, seed), sp
+    whole = build_speed(image, tissue, cfg)
+    return _whole_set_loop(whole, vol.dims, cfg, seed), whole
 
 
 def test_evolve_stagnation_matches_whole_grid_masks():
@@ -579,9 +588,9 @@ def test_evolve_seeds_shared_component_steps_whole_set(model):
     (_, left), (_, right) = runs
     results = evolve(vol, cfg, seeds)
     for seed, result, act in zip(seeds, results, (left, right)):
-        fld, sp = _whole_set_reference(vol, cfg, seed)
-        assert np.array_equal(act.index, sp.active.index)
-        assert result.active_voxels == sp.active.index.size
+        fld, whole = _whole_set_reference(vol, cfg, seed)
+        assert np.array_equal(act.index, whole.index)
+        assert result.active_voxels == whole.index.size
         assert np.array_equal(result.mask.values, extract_mask(fld).values)
         assert result.iterations == fld.n == cfg.n_max
     assert left is right
@@ -595,10 +604,11 @@ def _box_volume(dims, boxes):
     return ScalarVolume(vals)
 
 
-def _evolve_on_speed(vol, sp, cfg, seeds):
-    """`evolve` on `vol` (for its tissue mask) with the speed field `sp`."""
+def _evolve_on_speed(vol, whole, cfg, seeds):
+    """`evolve` on `vol` (for its tissue mask) with the active set `whole`
+    of a speed field."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "build_speed", lambda *args: sp)
+        mp.setattr(solver, "build_speed", lambda *args: whole)
         return evolve(vol, cfg, seeds)
 
 
@@ -616,13 +626,13 @@ def _two_boxes(rng, gap, ends, textured=True, dims=(30, 12, 12)):
     # per box, the half-open range of seed x, 4 voxels (the margin of a
     # radius-2 sphere) from the grid faces
     xs = [(4, split), (split + gap, dims[0] - 4)]
-    return _box_volume(dims, boxes), _speed_from_g(g), xs
+    return _box_volume(dims, boxes), _active_from_g(g), xs
 
 
-def _check_against_whole_set(vol, sp, cfg, seeds):
-    results = _evolve_on_speed(vol, sp, cfg, seeds)
+def _check_against_whole_set(vol, whole, cfg, seeds):
+    results = _evolve_on_speed(vol, whole, cfg, seeds)
     for seed, result in zip(seeds, results):
-        fld = _whole_set_loop(sp, vol.dims, cfg, seed)
+        fld = _whole_set_loop(whole, vol.dims, cfg, seed)
         assert np.array_equal(result.mask.values, extract_mask(fld).values)
         assert result.iterations == fld.n
 
@@ -642,12 +652,12 @@ def test_evolve_seeds_equals_whole_set_on_two_boxes(model, stagnation_window, ga
     # the other box's component.  The boxes stay off the grid faces, where
     # the scheme is not monotone (see the test below).
     rng = np.random.default_rng(seed)
-    vol, sp, xs = _two_boxes(rng, gap, ends)
+    vol, whole, xs = _two_boxes(rng, gap, ends)
     seeds = [VoxelIndex(int(rng.integers(*xs[b])), int(rng.integers(4, 8)),
                         int(rng.integers(4, 8))) for b in picks]
     cfg = SolverConfig(model=model, n_max=60, seed_radius_voxels=2.0,
                        stagnation_window=stagnation_window)
-    _check_against_whole_set(vol, sp, cfg, seeds)
+    _check_against_whole_set(vol, whole, cfg, seeds)
 
 
 @pytest.mark.xfail(strict=True, reason="on a grid face the one-sided difference drops the "
@@ -655,9 +665,9 @@ def test_evolve_seeds_equals_whole_set_on_two_boxes(model, stagnation_window, ga
 def test_evolve_seeds_equals_whole_set_with_textured_grid_faces():
     # with a textured g on the grid faces normal to y and z, the whole-set
     # loop drives the right box, which the left seed never reaches, below 0
-    vol, sp, _ = _two_boxes(np.random.default_rng(0), 3, (1, 0, 0, 1, 0, 0))
+    vol, whole, _ = _two_boxes(np.random.default_rng(0), 3, (1, 0, 0, 1, 0, 0))
     cfg = SolverConfig(model=Model.CLASSICAL, n_max=200, seed_radius_voxels=2.0)
-    _check_against_whole_set(vol, sp, cfg, [VoxelIndex(6, 6, 6)])
+    _check_against_whole_set(vol, whole, cfg, [VoxelIndex(6, 6, 6)])
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -666,19 +676,19 @@ def test_evolve_seeds_steps_every_component_the_sphere_reaches(model):
     # so that component must be stepped too: stepping the seed's own
     # component alone gives another mask
     rng = np.random.default_rng(5)
-    vol, sp, xs = _two_boxes(rng, 3, (1,) * 6, textured=False, dims=(30, 14, 14))
-    labels = sp.active.components()
+    vol, whole, xs = _two_boxes(rng, 3, (1,) * 6, textured=False, dims=(30, 14, 14))
+    labels = whole.components()
     assert set(labels) == {1, 2}
     # on the left box's last plane: the sphere reaches 3 planes into the gap
     seed = VoxelIndex(xs[0][1] - 1, 6, 6)
     cfg = SolverConfig(model=model, n_max=30, seed_radius_voxels=3.5)
-    result, = _evolve_on_speed(vol, sp, cfg, [seed])
-    assert result.active_voxels == sp.active.index.size
-    fld = _whole_set_loop(sp, vol.dims, cfg, seed)
+    result, = _evolve_on_speed(vol, whole, cfg, [seed])
+    assert result.active_voxels == whole.index.size
+    fld = _whole_set_loop(whole, vol.dims, cfg, seed)
     assert np.array_equal(result.mask.values, extract_mask(fld).values)
     flat = np.ravel_multi_index(seed.as_tuple(), vol.dims)
-    own = sp.active.restrict(labels == labels[np.searchsorted(sp.active.index, flat)])
-    fld = _whole_set_loop(sp, vol.dims, cfg, seed, own)
+    own = whole.restrict(labels == labels[np.searchsorted(whole.index, flat)])
+    fld = _whole_set_loop(whole, vol.dims, cfg, seed, own)
     assert not np.array_equal(result.mask.values, extract_mask(fld).values)
 
 
@@ -866,7 +876,7 @@ def test_loop_step_equals_per_axis_reference_bitwise(model, mu, eta, dims, seed)
     # Every step of both loops, 40 through each loop's reused grids and
     # work arrays, must equal the per-axis step bit for bit
     rng = np.random.default_rng(seed)
-    sp = _speed_from_g(rng.uniform(0.05, 1.0, dims))
+    whole = _active_from_g(rng.uniform(0.05, 1.0, dims))
     vol = _box_volume(dims, [(slice(None),) * 3])
     seeds = [VoxelIndex(*(int(rng.integers(4, n - 4)) for n in dims)) for _ in range(2)]
     cfg = SolverConfig(model=model, mu=mu, eta=eta, n_max=40, seed_radius_voxels=2.0)
@@ -884,7 +894,7 @@ def test_loop_step_equals_per_axis_reference_bitwise(model, mu, eta, dims, seed)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "step", step_against_reference)
-        results = _evolve_on_speed(vol, sp, cfg, seeds)
+        results = _evolve_on_speed(vol, whole, cfg, seeds)
     assert [r.iterations for r in results] == [40, 40]
     sets = [act for acts in checked.values() for act in acts]
     assert len(checked) == 2 and len(sets) == 80
@@ -898,17 +908,17 @@ def test_loop_steps_alternate_two_grids_without_allocating(easy_speed, model):
     # further steps allocate no grid: 50 of them peaked at 45 kB of traced
     # memory on easy (the one-sided differences on the grid faces), against
     # 2.1 MB for one grid
-    raw, seed, sp = easy_speed
+    raw, seed, act = easy_speed
     cfg = SolverConfig(model=model)
-    dt = cfl_dt(sp, cfg)
+    dt = cfl_dt(act, cfg)
     fld = init_levelset(raw.dims, seed, cfg, raw.spacing)
-    fld = solver.with_workspace(fld, sp.active)
+    fld = solver.with_workspace(fld, act)
     grids = [volume.values for volume in fld.work.volumes]
-    fld = step(fld, sp.active, cfg, dt)
+    fld = step(fld, act, cfg, dt)
     tracemalloc.start()
     try:
         for i in range(50):
-            fld = step(fld, sp.active, cfg, dt)
+            fld = step(fld, act, cfg, dt)
             assert np.shares_memory(fld.volume.values, grids[i % 2])
             assert not np.shares_memory(fld.volume.values, grids[1 - i % 2])
         peak = tracemalloc.get_traced_memory()[1]

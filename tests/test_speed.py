@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levelseg.active import ActiveSet
 from levelseg.preprocess import tissue_mask
 from levelseg.solver import SolverConfig
 from levelseg.speed import (
     DegenerateSpeedError,
     Model,
-    SpeedField,
     build_speed,
     cfl_dt,
 )
@@ -29,13 +29,21 @@ def _all_tissue(dims):
 
 def _constant_field(g_value, dims=(5, 5, 5)):
     zero = np.zeros(dims)
-    return SpeedField(np.full(dims, g_value), (zero, zero, zero))
+    return ActiveSet.of_speed(np.full(dims, g_value), (zero, zero, zero))
+
+
+def _grid(act, values):
+    """The full grid of `act`: `values` on the set, 0 elsewhere."""
+    grid = np.zeros(act.shape)
+    grid.put(act.index, values)
+    return grid
 
 
 # ------------------------------------------------------------- build_speed
 
 def test_speed_flat_region_is_one():
     sp = build_speed(_vol(np.full((5, 5, 5), 0.3)), _all_tissue((5, 5, 5)), CFG)
+    assert sp.index.size == 125
     assert np.all(sp.g == 1.0)
 
 
@@ -43,13 +51,13 @@ def test_speed_unit_gradient_is_half():
     # |grad I| = 1 with p = 2 -> g = 0.5 at interior voxels
     ii = np.arange(9)[:, None, None] * np.ones((1, 9, 9))
     sp = build_speed(_vol(DX * ii), _all_tissue((9, 9, 9)), CFG)
-    assert np.allclose(sp.g[1:-1], 0.5)
+    assert np.allclose(_grid(sp, sp.g)[1:-1], 0.5)
 
 
 def test_speed_slope_three_is_tenth():
     ii = np.arange(9)[:, None, None] * np.ones((1, 9, 9))
     sp = build_speed(_vol(3.0 * DX * ii), _all_tissue((9, 9, 9)), CFG)
-    assert np.allclose(sp.g[1:-1], 0.1)
+    assert np.allclose(_grid(sp, sp.g)[1:-1], 0.1)
 
 
 def test_speed_zeroed_outside_tissue():
@@ -57,8 +65,9 @@ def test_speed_zeroed_outside_tissue():
     tissue = np.zeros(dims, dtype=bool)
     tissue[2, 2, 2] = True
     sp = build_speed(_vol(np.full(dims, 1.0)), BinaryMask(tissue), CFG)
-    assert sp.g[2, 2, 2] == 1.0
-    assert np.sum(sp.g) == 1.0
+    g = _grid(sp, sp.g)
+    assert g[2, 2, 2] == 1.0
+    assert np.sum(g) == 1.0
 
 
 def test_speed_p_validation():
@@ -79,13 +88,19 @@ def test_speed_bounds_under_intensity_scaling(seed, scale, p):
 
 
 def test_grad_g_is_np_gradient_of_g():
+    # the set is where g or a component of its gradient is nonzero, and
+    # holds both there: scattered back, they are g and np.gradient(g)
     rng = np.random.default_rng(5)
     dims = (7, 8, 9)
     tissue = BinaryMask(rng.random(dims) < 0.8)
     sp = build_speed(_vol(rng.uniform(0, 1, size=dims)), tissue, CFG)
-    assert len(sp.grad_g) == 3
-    for got, want in zip(sp.grad_g, np.gradient(sp.g, DX)):
-        assert np.array_equal(got, want)
+    g = _grid(sp, sp.g)
+    want = np.gradient(g, DX)
+    assert sp.grad_g.shape == (3, sp.index.size)
+    active = (g != 0) | np.any([c != 0 for c in want], axis=0)
+    assert np.array_equal(np.flatnonzero(active), sp.index)
+    for got, c in zip(sp.grad_g, want):
+        assert np.array_equal(_grid(sp, got), c)
 
 
 # ------------------------------------------------------------------ cfl_dt
@@ -108,11 +123,17 @@ def test_cfl_classical_half_speed():
 
 
 def test_cfl_degenerate():
-    sp = _constant_field(0.0)
-    with pytest.raises(DegenerateSpeedError, match="degenerate speed field"):
-        cfl_dt(sp, SolverConfig(model=Model.GEODESIC1))
-    with pytest.raises(DegenerateSpeedError):
-        cfl_dt(sp, SolverConfig(model=Model.CLASSICAL))
+    # g = 0 everywhere, here or outside an empty tissue mask: the active set
+    # is empty.  The first-order steps, which divide by sup g, have no
+    # bound; the parabolic one does not read the field
+    no_tissue = BinaryMask(np.zeros((5, 5, 5), dtype=bool))
+    for sp in (_constant_field(0.0), build_speed(_vol(np.full((5, 5, 5), 0.3)), no_tissue, CFG)):
+        assert sp.index.size == 0
+        for model in (Model.CLASSICAL, Model.GEODESIC1):
+            with pytest.raises(DegenerateSpeedError) as exc:
+                cfl_dt(sp, SolverConfig(model=model))
+            assert str(exc.value) == "degenerate speed field: g is identically zero"
+        assert cfl_dt(sp, SolverConfig(model=Model.GEODESIC2, dx=DX)) == 0.25 * DX * DX
 
 
 @settings(max_examples=30, deadline=None)
