@@ -23,15 +23,16 @@ the same where this argument holds:
   bound (Crandall & Majda 1980) and map a constant field to itself, so
   each update is at least its value at the zero field, 0: such a
   component never enters the mask (v < 0), whether it is stepped or not,
-  and the stagnation check sees the same signs.
+  and the stagnation check sees the same signs.  This holds on a grid
+  face too: there the clamped neighbour beyond the face is the voxel
+  itself, a zero-flux ghost value, and the step is the plain LLF scheme
+  with reflecting boundaries (LeVeque 2002, ch. 7), monotone under the
+  same bound.
 The argument does not cover `gmfd2`, whose explicit curvature term is not
-monotone, nor a voxel on a grid face, where the one-sided difference
-drops the dissipation along that axis.  There equality rests on tests
-against the whole-set loop; on the suite phantoms the masks are bitwise
-equal at the full budgets.  Where g is textured on a grid face, the
-whole-set loop can drive a component that no seed reaches below zero, and
-there the masks differ.  Stepping only where the front can go follows
-Adalsteinsson & Sethian (1995).
+monotone.  There equality rests on tests against the whole-set loop; on
+the suite phantoms the masks are bitwise equal at the full budgets.
+Stepping only where the front can go follows Adalsteinsson & Sethian
+(1995).
 """
 from __future__ import annotations
 
@@ -69,10 +70,6 @@ class ActiveSet:
         self.index = index
         self.g = g
         self.grad_g = grad_g
-        # per axis, the positions in the set of the voxels on either grid
-        # face normal to it, where one face neighbour is the voxel itself
-        self.on_face = tuple(np.flatnonzero((i == 0) | (i == n - 1))
-                             for i, n in zip(self._coords(), self.shape))
 
     @classmethod
     def of_speed(cls, g, grad_g):
@@ -101,11 +98,8 @@ class ActiveSet:
         near = ndimage.binary_dilation(inside, CONNECTIVITY).take(self.index)
         return self.restrict(np.isin(labels, labels[near]))
 
-    def _coords(self):
-        return np.unravel_index(self.index, self.shape)
-
     def _neighbours(self, offsets):
-        coords = self._coords()
+        coords = np.unravel_index(self.index, self.shape)
         return np.stack([
             np.ravel_multi_index(tuple(c + o for c, o in zip(coords, offset)),
                                  self.shape, mode="clip")

@@ -32,7 +32,8 @@ class SolverConfig:
     """Every setting of a run, each defined here once: the preprocessing
     `sigma`, the model and its weights, the speed exponent, the grid step,
     the seed sphere, the budget and the early stop (once the mask has not
-    changed for `stagnation_window` steps; 0 never stops early)."""
+    changed for `stagnation_window` steps; 0 never stops early).  Every
+    float setting must be finite, and `sigma` and the weights >= 0."""
 
     model: Model = Model.GEODESIC1
     sigma: float = 0.0
@@ -46,8 +47,12 @@ class SolverConfig:
     stagnation_window: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        for name in ("sigma", "mu", "eta", "epsilon", "dx", "seed_radius_voxels"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("sigma", "mu", "eta", "epsilon"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.dx <= 0:
@@ -234,10 +239,12 @@ def step(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float) -> Le
     The update is evaluated on the voxels of `act` only: the speed field's
     active set, or the components of it that a seed reaches.  Every other
     voxel keeps its value; outside the active set the update is exactly
-    zero (see `levelseg.active`).  A field from `with_workspace` carries
-    its loop's workspace: the result is written into the loop's other
-    grid and carries the workspace on.  Any other field gets a result on
-    a new grid.
+    zero (see `levelseg.active`).  The set's tables clamp each coordinate
+    to the grid, so beyond a grid face a voxel reads itself, a zero-flux
+    ghost value: a face voxel takes the same update as any other.  A field
+    from `with_workspace` carries its loop's workspace: the result is
+    written into the loop's other grid and carries the workspace on.  Any
+    other field gets a result on a new grid.
     """
     w = fld.work or Workspace(act.index.shape, fld.volume)
     first, other = w.volumes
@@ -246,16 +253,10 @@ def step(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float) -> Le
     table = act.stencil if second_order else act.faces
     nb = np.take(fld.volume.values, table, out=w("nb", len(table)), mode="clip")
     c, plus_nb, minus_nb = nb[0], nb[1:7:2], nb[2:7:2]
-    # on a face, where one neighbour is the voxel itself, both one-sided
-    # differences are the one available difference
-    faces = [(axis, f, (plus_nb[axis, f] - minus_nb[axis, f]) / cfg.dx)
-             for axis, f in enumerate(act.on_face) if f.size]
     if second_order:
         kappa = curvature_3d(nb, cfg.dx, work=w)
-        # the centred gradient of np.gradient: one-sided on a face
+        # the centred gradient that `curvature_3d` left in the workspace
         grad = w("grad", 3)
-        for axis, f, one_sided in faces:
-            grad[axis, f] = one_sided
         grad *= grad
         grad_norm = np.sqrt(_sum3(grad, w("s")), out=w("s"))
         term = np.multiply(cfg.epsilon, act.g, out=grad[0])
@@ -269,8 +270,6 @@ def step(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float) -> Le
     np.subtract(c, minus_nb, out=minus)
     minus /= cfg.dx
     np.divide(forward, cfg.dx, out=plus)
-    for axis, f, one_sided in faces:
-        minus[axis, f] = plus[axis, f] = one_sided
     h = llf_hamiltonian(cfg.model, act.g, act.grad_g, diffs, cfg.mu, cfg.eta, w)
     if second_order:
         h -= kappa

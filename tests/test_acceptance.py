@@ -256,9 +256,11 @@ def test_criterion_cost_gap(record_criterion):
         cfg = SolverConfig(model=model, dx=DX, seed_radius_voxels=5.0)
         fld = init_levelset(raw.dims, seed, cfg, raw.spacing)
         dt = cfl_dt(act, cfg)
+        # as `evolve` does: dt from the whole set, steps on what the seed reaches
+        reached = act.reached(act.components(), fld.volume.values < 0)
         t0 = time.perf_counter()
         for n in range(1, n_cap + 1):
-            fld = step(fld, act, cfg, dt)
+            fld = step(fld, reached, cfg, dt)
             if dice(extract_mask(fld), truth_left) >= target:
                 return n, time.perf_counter() - t0
         return None, time.perf_counter() - t0

@@ -438,9 +438,22 @@ def test_segment_start_slice_out_of_range(phantom_dir, tmp_path, capsys, monkeyp
     (["--p", "0"], "error: p must be >= 1"),
     (["--input", "missing.json"], "error:"),
     (["--postprocess", "--start-slice", "41"], "error: start slice 41 out of range"),
-], ids=["bad-option", "missing-input", "start-slice"])
+    (["--sigma", "inf"], "error: sigma must be finite"),
+    (["--sigma", "nan"], "error: sigma must be finite"),
+    (["--dx", "nan"], "error: dx must be finite"),
+    (["--dx", "inf"], "error: dx must be finite"),
+    (["--mu", "nan"], "error: mu must be finite"),
+    (["--eta", "inf"], "error: eta must be finite"),
+    (["--epsilon", "nan"], "error: epsilon must be finite"),
+    (["--mu", "-1"], "error: mu must be >= 0"),
+    (["--eta", "-1"], "error: eta must be >= 0"),
+    (["--epsilon", "-5"], "error: epsilon must be >= 0"),
+], ids=["bad-option", "missing-input", "start-slice", "sigma-inf", "sigma-nan", "dx-nan",
+        "dx-inf", "mu-nan", "eta-inf", "epsilon-nan", "mu-negative", "eta-negative",
+        "epsilon-negative"])
 def test_segment_rejected_run_makes_no_out_dir(phantom_dir, tmp_path, capsys, args, message):
-    # the options and the volume are checked before `--out` is made
+    # the options and the volume are checked before `--out` is made; a
+    # float setting must be finite, and a weight >= 0
     out = tmp_path / "x"
     rc = main([
         "segment", "--input", str(phantom_dir / "volume.json"),
