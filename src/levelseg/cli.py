@@ -71,9 +71,6 @@ def cmd_segment(args) -> int:
     raw = load_volume(args.input)
     if args.postprocess and args.start_slice is not None:
         check_start_slice(args.start_slice, raw.dims[2])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     timing = {"model": args.model, "n_max": args.nmax, "sides": {}}
     merged = np.zeros(raw.dims, dtype=bool)
     seeds = [VoxelIndex(*args.seed_left), VoxelIndex(*args.seed_right)]
@@ -81,6 +78,9 @@ def cmd_segment(args) -> int:
     results = evolve(raw, cfg, seeds)
     # the sides' loops overlap on two threads, so their `seconds` do not add
     timing["pair_seconds"] = time.perf_counter() - start
+    # made once `evolve` has accepted the seeds, so a rejected run leaves none
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for side, seed, result in zip(("left", "right"), seeds, results):
         mask = result.mask
         if args.postprocess:
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (VolumeError, PhantomError, SeedError, BlowupError, DegenerateSpeedError,
-            PostprocessError, MetricsError, ValueError) as e:
+            PostprocessError, MetricsError, ValueError, OSError) as e:
         _log(f"error: {e}")
         return 1
 

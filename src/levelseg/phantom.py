@@ -166,9 +166,9 @@ def _straight(center, radius, nz):
 
 
 def _curved(center, radius_top, radius_bottom, amplitude, nz):
-    # drift and taper flatten out at the end slices so the first/last
-    # cross sections repeat (no tissue voxel at a z face sits over a
-    # zero-speed column, which the face stencil handles poorly)
+    # the first/last cross sections repeat their neighbours.  The step no
+    # longer needs this (its stencils clamp at the grid faces), but
+    # dropping it would move the medium phantom's suite masks, so it stays
     centers = []
     radii = []
     for k in range(nz):

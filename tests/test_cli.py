@@ -60,6 +60,15 @@ def test_phantom_spec_bad_dims(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+def test_phantom_out_is_a_file_is_one_line(tmp_path, capsys):
+    out = tmp_path / "file"
+    out.write_text("")
+    assert main(["phantom", "easy", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: [Errno 17] File exists: '{out}'"], err
+    assert out.is_file()
+
+
 @pytest.mark.parametrize("name", ["rim_width", "rim_hu"])
 def test_phantom_spec_rim_field_is_one_line(tmp_path, capsys, name):
     # the tube rim is no longer a phantom setting
@@ -283,17 +292,6 @@ def test_segment_bad_seed_format(phantom_dir, tmp_path):
     assert exc.value.code == 2
 
 
-def test_segment_seed_outside_tissue(phantom_dir, tmp_path, capsys):
-    rc = main([
-        "segment", "--input", str(phantom_dir / "volume.json"),
-        "--seed-left", "40,12,20",  # bone region
-        "--seed-right", "57,40,20",
-        "--model", "gmfd1", "--nmax", "5", "--out", str(tmp_path / "x"),
-    ])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-
-
 def test_segment_right_seed_outside_tissue_fails_before_stepping(phantom_dir, tmp_path,
                                                                capsys, monkeypatch):
     def no_step(*args):
@@ -405,17 +403,6 @@ def test_segment_malformed_header_is_one_line(phantom_dir, tmp_path, capsys, edi
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
 
 
-def test_segment_seed_off_grid(phantom_dir, tmp_path, capsys):
-    rc = main([
-        "segment", "--input", str(phantom_dir / "volume.json"),
-        "--seed-left", "999,40,20", "--seed-right", "57,40,20",
-        "--model", "gmfd1", "--nmax", "5", "--out", str(tmp_path / "x"),
-    ])
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err
-
-
 def test_segment_start_slice_out_of_range(phantom_dir, tmp_path, capsys, monkeypatch):
     # the slice is checked against the volume before any evolution
     def no_evolve(*args):
@@ -448,22 +435,30 @@ def test_segment_start_slice_out_of_range(phantom_dir, tmp_path, capsys, monkeyp
     (["--mu", "-1"], "error: mu must be >= 0"),
     (["--eta", "-1"], "error: eta must be >= 0"),
     (["--epsilon", "-5"], "error: epsilon must be >= 0"),
+    (["--seed-left", "999,40,20"], "error: seed (999, 40, 20) lies outside the volume"),
+    (["--seed-left", "40,12,20"], "error: seed (40, 12, 20) lies outside the tissue mask"),
+    (["--seed-left", "22,40,6"], "error: seed (22, 40, 6) closer than 7.0 voxels to a face"),
+    (["--out", "file"], "error: [Errno 17] File exists"),
 ], ids=["bad-option", "missing-input", "start-slice", "sigma-inf", "sigma-nan", "dx-nan",
         "dx-inf", "mu-nan", "eta-inf", "epsilon-nan", "mu-negative", "eta-negative",
-        "epsilon-negative"])
+        "epsilon-negative", "seed-off-grid", "seed-outside-tissue", "seed-near-face",
+        "out-is-a-file"])
 def test_segment_rejected_run_makes_no_out_dir(phantom_dir, tmp_path, capsys, args, message):
-    # the options and the volume are checked before `--out` is made; a
-    # float setting must be finite, and a weight >= 0
+    # `--out` is made once `evolve` has accepted the seeds, so a run
+    # rejected for an option, the volume or a seed leaves no directory (a
+    # float setting must be finite, and a weight >= 0), and an `--out`
+    # that names a file ends in one error line
     out = tmp_path / "x"
+    (tmp_path / "file").write_text("")
     rc = main([
         "segment", "--input", str(phantom_dir / "volume.json"),
         "--seed-left", "22,40,20", "--seed-right", "57,40,20",
         "--model", "gmfd1", "--nmax", "1", "--out", str(out),
-    ] + [str(tmp_path / a) if a.endswith(".json") else a for a in args])
+    ] + [str(tmp_path / a) if a.endswith(".json") or a == "file" else a for a in args])
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message), err
-    assert not out.exists()
+    assert not out.exists() and (tmp_path / "file").is_file()
 
 
 def test_bench_iters_cover_both_sides(monkeypatch, capsys):

@@ -1,6 +1,4 @@
 """Slice-wise component reduction and distance-tolerance cleaning."""
-import importlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +16,6 @@ from levelseg.postprocess import (
     reduce_components,
 )
 from levelseg.volumes import BinaryMask, VoxelIndex
-
-# the package re-exports the function `postprocess` under the module's name
-postprocess_module = importlib.import_module("levelseg.postprocess")
 
 
 def _mask(arr):
@@ -300,40 +295,53 @@ _DRIFTING_DISKS = dict(seed=st.integers(0, 2**32 - 1), direction=st.sampled_from
                        empty_prev=st.booleans())
 
 
+def _assert_clean_equals_per_voxel(mask, start, direction=1):
+    want = _clean_spurious_per_voxel(mask, start, direction)
+    assert np.array_equal(clean_spurious(mask, start, direction).values, want.values)
+
+
 @settings(max_examples=150, deadline=None)
 @given(**_DRIFTING_DISKS)
 def test_clean_equals_per_voxel_reference(seed, direction, start, empty_prev):
     mask, k0 = _drifting_disks(seed, direction, start, empty_prev)
-    want = _clean_spurious_per_voxel(mask, k0, direction)
-    assert np.array_equal(clean_spurious(mask, k0, direction).values, want.values)
+    _assert_clean_equals_per_voxel(mask, k0, direction)
 
 
-# ------------------------------------- bitwise oracles: the full-query code
+def test_clean_builds_no_tree_where_no_voxel_moved(tree_count):
+    vals = np.zeros((10, 10, 6), dtype=bool)
+    vals[3:7, 3:7, :] = True
+    _assert_clean_equals_per_voxel(_mask(vals), 0)
+    assert tree_count == []
+    vals[7, 4, 3] = True  # one moved voxel: one tree, of slice 2's 16 voxels
+    _assert_clean_equals_per_voxel(_mask(vals), 0)
+    assert tree_count == [16]
 
-def _clean_spurious_batched(mask, start_slice, direction=1):
-    """Frozen copy of the cleaning that queries every voxel of each slice
-    against a tree of the previous slice's kept voxels."""
-    vals = mask.values.copy()
-    nz = vals.shape[2]
-    pts = np.argwhere(vals[:, :, start_slice])
-    prev_idx = start_slice - direction
-    tol = np.full(len(pts), TOLERANCE_CONSTANT)
-    if 0 <= prev_idx < nz and vals[:, :, prev_idx].any():
-        tol += cKDTree(np.argwhere(vals[:, :, prev_idx])).query(pts)[0]
-    k = start_slice + direction
-    while 0 <= k < nz:
-        cur = vals[:, :, k]
-        cur_pts = np.argwhere(cur)
-        if len(pts) == 0 or len(cur_pts) == 0:
-            break
-        dist, nearest = cKDTree(pts).query(cur_pts)
-        keep = dist <= tol[nearest]
-        cur[tuple(cur_pts[~keep].T)] = False
-        pts = cur_pts[keep]
-        tol = dist[keep] + TOLERANCE_CONSTANT
-        k += direction
-    return BinaryMask(vals, mask.spacing)
 
+def test_clean_every_voxel_moved_equals_reference():
+    # slice 2 is a ring around slice 1's disk: no voxel of it was there
+    # before, and slice 1's edge voxels carry raised tolerances
+    vals = np.zeros((16, 16, 4), dtype=bool)
+    vals[:, :, 0] = _disk(16, 16, (8, 8), 1)
+    vals[:, :, 1] = _disk(16, 16, (8, 8), 2)
+    vals[:, :, 2] = _disk(16, 16, (8, 8), 3) & ~_disk(16, 16, (8, 8), 2)
+    vals[:, :, 3] = _disk(16, 16, (8, 8), 3)
+    assert not (vals[:, :, 2] & vals[:, :, 1]).any()
+    for direction, start in ((1, 1), (-1, 2)):
+        _assert_clean_equals_per_voxel(_mask(vals), start, direction)
+
+
+def test_clean_tie_between_previous_voxels_equals_reference():
+    # (5, 6) and (6, 6) on slice 2 are equidistant from (5, 5), tolerance
+    # 0.75, and (5, 7), tolerance 2 + 0.75: the tree's choice between them
+    # decides whether they stay, so it must be the reference's choice
+    vals = np.zeros((12, 12, 3), dtype=bool)
+    vals[5, 5, 0] = True
+    vals[5, 5, 1] = vals[5, 7, 1] = True
+    vals[5, 5, 2] = vals[5, 6, 2] = vals[6, 6, 2] = True
+    _assert_clean_equals_per_voxel(_mask(vals), 1)
+
+
+# ------------------------------- bitwise oracle: the all-components code
 
 def _reduce_components_all(mask, seed):
     """Frozen copy of the reduction that labels every component of each
@@ -378,32 +386,6 @@ def _reduce_components_all(mask, seed):
     return BinaryMask(out, mask.spacing)
 
 
-@pytest.fixture
-def tree_count(monkeypatch):
-    """Counts the trees clean_spurious builds."""
-    built = []
-
-    def counting_tree(pts):
-        built.append(len(pts))
-        return cKDTree(pts)
-
-    monkeypatch.setattr(postprocess_module, "cKDTree", counting_tree)
-    return built
-
-
-def _assert_clean_equals_batched(mask, start, direction=1):
-    got = clean_spurious(mask, start, direction)
-    assert np.array_equal(got.values, _clean_spurious_batched(mask, start, direction).values)
-    return got
-
-
-@settings(max_examples=150, deadline=None)
-@given(**_DRIFTING_DISKS)
-def test_clean_equals_batched_reference(seed, direction, start, empty_prev):
-    mask, k0 = _drifting_disks(seed, direction, start, empty_prev)
-    _assert_clean_equals_batched(mask, k0, direction)
-
-
 @settings(max_examples=100, deadline=None)
 @given(**_DRIFTING_DISKS)
 def test_reduce_equals_all_components_reference(seed, direction, start, empty_prev):
@@ -414,42 +396,6 @@ def test_reduce_equals_all_components_reference(seed, direction, start, empty_pr
     seed_voxel = VoxelIndex(int(i), int(j), k0)
     assert np.array_equal(reduce_components(mask, seed_voxel).values,
                           _reduce_components_all(mask, seed_voxel).values)
-
-
-def test_clean_builds_no_tree_where_no_voxel_moved(tree_count):
-    vals = np.zeros((10, 10, 6), dtype=bool)
-    vals[3:7, 3:7, :] = True
-    _assert_clean_equals_batched(_mask(vals), 0)
-    assert tree_count == []
-    vals[7, 4, 3] = True  # one moved voxel: one tree, of slice 2's 16 voxels
-    _assert_clean_equals_batched(_mask(vals), 0)
-    assert tree_count == [16]
-
-
-def test_clean_every_voxel_moved_equals_reference():
-    # slice 2 is a ring around slice 1's disk: no voxel of it was there
-    # before, and slice 1's edge voxels carry raised tolerances
-    vals = np.zeros((16, 16, 4), dtype=bool)
-    vals[:, :, 0] = _disk(16, 16, (8, 8), 1)
-    vals[:, :, 1] = _disk(16, 16, (8, 8), 2)
-    vals[:, :, 2] = _disk(16, 16, (8, 8), 3) & ~_disk(16, 16, (8, 8), 2)
-    vals[:, :, 3] = _disk(16, 16, (8, 8), 3)
-    assert not (vals[:, :, 2] & vals[:, :, 1]).any()
-    for direction, start in ((1, 1), (-1, 2)):
-        got = _assert_clean_equals_batched(_mask(vals), start, direction)
-        want = _clean_spurious_per_voxel(_mask(vals), start, direction)
-        assert np.array_equal(got.values, want.values)
-
-
-def test_clean_tie_between_previous_voxels_equals_reference():
-    # (5, 6) and (6, 6) on slice 2 are equidistant from (5, 5), tolerance
-    # 0.75, and (5, 7), tolerance 2 + 0.75: the tree's choice between them
-    # decides whether they stay, so it must be the same choice as before
-    vals = np.zeros((12, 12, 3), dtype=bool)
-    vals[5, 5, 0] = True
-    vals[5, 5, 1] = vals[5, 7, 1] = True
-    vals[5, 5, 2] = vals[5, 6, 2] = vals[6, 6, 2] = True
-    _assert_clean_equals_batched(_mask(vals), 1)
 
 
 def test_reduce_centroid_outside_every_component_equals_reference():

@@ -14,8 +14,7 @@ from scipy import ndimage
 from levelseg import solver
 from levelseg.active import CONNECTIVITY, ActiveSet
 from levelseg.metrics import dice
-from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_config, suite_spec, tube_seed
-from levelseg.postprocess import postprocess
+from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
 from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import (
     BlowupError,
@@ -177,21 +176,6 @@ def test_curvature_cylinder(grid_curvature):
     assert np.allclose(kappa[:, :, 4][near], 1.0 / radius, rtol=0.15)
 
 
-def test_curvature_refines(grid_curvature):
-    radius = 1.0
-
-    def max_err(dx, n):
-        c = (n - 1) / 2.0
-        v = _sphere_sdf((n, n, n), (c, c, c), dx) - radius
-        kappa = grid_curvature(v, dx)
-        near = np.abs(v) < 0.5 * dx
-        return np.abs(kappa[near] - 2.0 / radius).max()
-
-    coarse = max_err(0.1, 41)
-    fine = max_err(0.05, 81)
-    assert fine < coarse
-
-
 # -------------------------------------------------------------------- step
 
 def test_step_zero_speed_is_noop():
@@ -261,26 +245,6 @@ def test_step_epsilon_zero_matches_first_order():
         a = step(a, act, cfg1, dt)
         b = step(b, act, cfg2, dt)
     assert np.max(np.abs(a.volume.values - b.volume.values)) <= 1e-12
-
-
-def test_step_monotone_under_cfl():
-    # a single-voxel increase of the field, on a grid face or inside it,
-    # never decreases any updated value: a neighbour beyond a face is the
-    # voxel itself, so face voxels keep the monotone stencil form
-    dims = (9, 9, 9)
-    for model in (Model.CLASSICAL, Model.GEODESIC1):
-        rng = np.random.default_rng(41)
-        act = _active_from_g(rng.uniform(0.2, 1.0, size=dims))
-        cfg = SolverConfig(model=model)
-        dt = cfl_dt(act, cfg)
-        u = rng.standard_normal(dims) * 0.1
-        base = step(LevelSetField(ScalarVolume(u)), act, cfg, dt).volume.values
-        for _ in range(200):
-            i, j, k = rng.integers(0, 9, size=3)
-            bumped = u.copy()
-            bumped[i, j, k] += rng.uniform(0.001, 0.05)
-            out = step(LevelSetField(ScalarVolume(bumped)), act, cfg, dt).volume.values
-            assert np.all(out >= base - 1e-12), model
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -475,25 +439,24 @@ def test_step_is_pure_and_reuses_tables():
         assert np.array_equal(act.faces, act.stencil[:7])
 
 
-def test_gmfd1_geodesic_bias_is_the_zero_speed_ring(easy_speed):
+def test_gmfd1_geodesic_bias_is_the_zero_speed_ring(easy_speed, suite_runs):
     # on the one-voxel ring just outside the tissue mask g = 0 but the
     # centred grad g is not.  There the classical Hamiltonian g|Dv| is
     # zero, while gmfd1's advective term -eta grad g . Dv carries the front
     # one ring out: the raw left mask fills the seed's component of the
     # active set, and its voxels outside the truth are exactly that ring
-    raw, seed, act = easy_speed
-    _, truth, _ = generate_phantom(suite_spec("easy"))
+    _, seed, act = easy_speed
+    geodesic = suite_runs.runs["easy", Model.GEODESIC1, "left"]
     active = _grid(act, np.ones(act.index.size, bool))
     labels, _ = ndimage.label(active, CONNECTIVITY)
     component = labels == labels[seed.as_tuple()]
     ring = _grid(act, act.g) == 0
-    geodesic, = evolve(raw, suite_config("easy", Model.GEODESIC1), [seed])
-    mask = geodesic.mask.values
+    mask = geodesic.result.mask.values
     assert np.array_equal(mask, component) and mask.sum() == 18_081
-    outside = mask & ~truth.values
+    outside = mask & ~geodesic.truth.values
     assert np.array_equal(outside, mask & ring) and outside.sum() == 2_624
-    classical, = evolve(raw, suite_config("easy", Model.CLASSICAL), [seed])
-    assert not (classical.mask.values & ring).any()
+    classical = suite_runs.runs["easy", Model.CLASSICAL, "left"]
+    assert not (classical.result.mask.values & ring).any()
 
 
 # ------------------------------------------------------------ extract_mask
@@ -881,14 +844,11 @@ HARD_LEFT_DICE_FLOORS = {
 
 
 @pytest.mark.parametrize("model", list(Model))
-def test_hard_phantom_left_dice_floors(model):
-    spec = suite_spec("hard")
-    raw, truth, _ = generate_phantom(spec)
-    seed = tube_seed(spec, "left")
-    result, = evolve(raw, suite_config("hard", model), [seed])
+def test_hard_phantom_left_dice_floors(suite_runs, model):
+    run = suite_runs.runs["hard", model, "left"]
     raw_floor, cleaned_floor = HARD_LEFT_DICE_FLOORS[model]
-    assert dice(result.mask, truth) >= raw_floor
-    assert dice(postprocess(result.mask, seed), truth) >= cleaned_floor
+    assert dice(run.result.mask, run.truth) >= raw_floor
+    assert dice(run.cleaned, run.truth) >= cleaned_floor
 
 
 def test_solver_config_validation():
