@@ -24,7 +24,7 @@ from .phantom import (
     tube_seed,
 )
 from .postprocess import PostprocessError, check_start_slice, postprocess
-from .solver import BlowupError, SeedError, SolverConfig, evolve
+from .solver import DICE_TARGET, BlowupError, SeedError, SolverConfig, evolve, steps_to_dice
 from .speed import DegenerateSpeedError, Model
 from .volumes import BinaryMask, VolumeError, VoxelIndex, load_mask, load_volume, store_volume
 
@@ -122,22 +122,33 @@ def cmd_metrics(args) -> int:
 def cmd_bench(args) -> int:
     """One row per (phantom, model); `n_max` is the budget of one side,
     `iters` totals both sides and `wall_s` is the elapsed time of
-    `evolve` on the pair, whose two loops run at once."""
+    `evolve` on the pair, whose two loops run at once.  The last two
+    columns are the left tube's `steps_to_dice`, and a line per phantom
+    gives the `gmfd2`/`gmfd1` ratios of both when both models cross."""
     specs = [suite_spec(args.phantom)] if args.phantom else default_suite()
-    header = f"{'phantom':<8} {'model':<10} {'n_max':>6} {'iters':>6} {'wall_s':>8} {'dice_L':>7} {'dice_R':>7}"
+    at = f"@{DICE_TARGET:.2f}"
+    header = (f"{'phantom':<8} {'model':<10} {'n_max':>6} {'iters':>6} {'wall_s':>8} "
+              f"{'dice_L':>7} {'dice_R':>7} {'n' + at:>7} {'s' + at:>7}")
     print(header)
     print("-" * len(header))
     for spec in specs:
         raw, truth_left, truth_right = generate_phantom(spec)
+        crossings = {}
         for model in Model:
             cfg = suite_config(spec.name, model)
             seeds = [tube_seed(spec, "left"), tube_seed(spec, "right")]
             start = time.perf_counter()
             left, right = evolve(raw, cfg, seeds)
             wall = time.perf_counter() - start
+            n, seconds = crossings[model] = steps_to_dice(raw, cfg, seeds[0], truth_left)
             print(f"{spec.name:<8} {model.value:<10} {cfg.n_max:>6} "
                   f"{left.iterations + right.iterations:>6} {wall:>8.2f} "
-                  f"{dice(left.mask, truth_left):>7.4f} {dice(right.mask, truth_right):>7.4f}")
+                  f"{dice(left.mask, truth_left):>7.4f} {dice(right.mask, truth_right):>7.4f} "
+                  + (f"{n:>7} {seconds:>7.2f}" if n else f"{'never':>7} {'-':>7}"))
+        (n1, s1), (n2, s2) = crossings[Model.GEODESIC1], crossings[Model.GEODESIC2]
+        if n1 and n2:
+            print(f"{spec.name}: gmfd2/gmfd1 to Dice {DICE_TARGET:.2f}: "
+                  f"{n2 / n1:.1f}x iterations, {s2 / s1:.1f}x wall")
     return 0
 
 

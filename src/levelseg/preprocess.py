@@ -60,10 +60,14 @@ def gaussian_smooth(vol: ScalarVolume, sigma: float) -> ScalarVolume:
     """2D Gaussian smoothing of each z-slice.
 
     Kernel truncated at radius ceil(3*sigma) and renormalized to sum 1;
-    borders handled by edge replication. sigma = 0 is the identity.
+    borders handled by edge replication. sigma = 0 is the identity; a
+    3*sigma beyond the larger in-plane dimension is rejected.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
+    if 3.0 * sigma > max(vol.dims[:2]):
+        raise ValueError(f"sigma must be <= {max(vol.dims[:2]) / 3.0:g}: "
+                         f"3*sigma exceeds the {vol.dims[0]}x{vol.dims[1]} slice")
     if sigma == 0:
         return ScalarVolume(vol.values.copy(), vol.spacing)
     kernel = _gauss_kernel(sigma)

@@ -25,6 +25,7 @@ class BlowupError(Exception):
 
 
 CURVATURE_DELTA = 1e-8  # regularizes the curvature where |Dv| vanishes
+DICE_TARGET = 0.90  # the Dice at which the paper compares the models' cost
 
 
 @dataclass
@@ -347,6 +348,31 @@ def _evolve_one(fld: LevelSetField, act: ActiveSet, cfg: SolverConfig, dt: float
             mask, prev_mask = prev_mask, mask
     elapsed = time.perf_counter() - start
     return EvolutionResult(extract_mask(fld), fld.n, elapsed, dt, act.index.size)
+
+
+def steps_to_dice(raw_vol: ScalarVolume, cfg: SolverConfig, seed: VoxelIndex, truth: BinaryMask):
+    """Step `seed`'s front as `evolve` does, up to `cfg.n_max` steps; return
+    the first step at which the Dice of its mask with `truth` reaches
+    `DICE_TARGET`, or None, and the seconds the steps took.  u never
+    changes outside `act`, so the counts there are taken once and only the
+    signs inside it each step: the Dice is `metrics.dice`'s float."""
+    [(fld, act)], dt = _prepare(raw_vol, cfg, [seed])
+    fld = with_workspace(fld, act)
+    frozen = fld.volume.values < 0
+    frozen.put(act.index, False)
+    truth_in = truth.values.take(act.index)
+    base = np.count_nonzero(frozen) + np.count_nonzero(truth.values)
+    base_inter = np.count_nonzero(frozen & truth.values)
+    values, inside = fld.work("active_values"), fld.work("signs", dtype=bool)
+    start = time.perf_counter()
+    for n in range(1, cfg.n_max + 1):
+        fld = step(fld, act, cfg, dt)
+        np.take(fld.volume.values, act.index, out=values, mode="clip")
+        total = base + np.count_nonzero(np.less(values, 0, out=inside))
+        inter = base_inter + np.count_nonzero(np.logical_and(inside, truth_in, out=inside))
+        if (2.0 * inter / total if total else 1.0) >= DICE_TARGET:
+            return n, time.perf_counter() - start
+    return None, time.perf_counter() - start
 
 
 def evolve(raw_vol: ScalarVolume, cfg: SolverConfig, seeds) -> list[EvolutionResult]:

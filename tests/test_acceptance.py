@@ -6,6 +6,7 @@ verdict.
 """
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy import ndimage
@@ -13,18 +14,19 @@ from scipy.spatial.distance import cdist
 
 from levelseg.active import ActiveSet
 from levelseg.metrics import assd, dice, hausdorff, jaccard, surface_voxels
-from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
+from levelseg.phantom import generate_phantom, suite_config, suite_spec, tube_seed
 from levelseg.postprocess import clean_spurious, postprocess
-from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import (
+    DICE_TARGET,
     LevelSetField,
     SolverConfig,
     extract_mask,
     init_levelset,
     llf_hamiltonian,
     step,
+    steps_to_dice,
 )
-from levelseg.speed import Model, build_speed, cfl_dt
+from levelseg.speed import Model, cfl_dt
 from levelseg.volumes import BinaryMask, ScalarVolume, VoxelIndex
 
 DX = 0.1
@@ -238,25 +240,12 @@ def test_criterion_cost_gap(record_criterion):
     spec = suite_spec("easy")
     raw, truth_left, _ = generate_phantom(spec)
     seed = tube_seed(spec, "left")
-    sigma = SUITE_PARAMS["easy"]["sigma"]
-    image, tissue = preprocess_pipeline(raw, sigma)
-    act = build_speed(image, tissue, SolverConfig(p=2, dx=DX))
 
-    def iterations_to_dice(model, n_cap, target=0.90):
-        cfg = SolverConfig(model=model, dx=DX, seed_radius_voxels=5.0)
-        fld = init_levelset(raw.dims, seed, cfg, raw.spacing)
-        dt = cfl_dt(act, cfg)
-        # as `evolve` does: dt from the whole set, steps on what the seed reaches
-        reached = act.reached(act.components(), fld.volume.values < 0)
-        t0 = time.perf_counter()
-        for n in range(1, n_cap + 1):
-            fld = step(fld, reached, cfg, dt)
-            if dice(extract_mask(fld), truth_left) >= target:
-                return n, time.perf_counter() - t0
-        return None, time.perf_counter() - t0
-
-    n1, w1 = iterations_to_dice(Model.GEODESIC1, 500)
-    n2, w2 = iterations_to_dice(Model.GEODESIC2, 2500)
+    # the target, the tube and the caps are the criterion's inputs
+    assert DICE_TARGET == 0.90
+    (n1, w1), (n2, w2) = (
+        steps_to_dice(raw, replace(suite_config("easy", model), n_max=cap), seed, truth_left)
+        for model, cap in ((Model.GEODESIC1, 500), (Model.GEODESIC2, 2500)))
     ok = n1 is not None and n2 is not None
     iter_ratio = n2 / n1 if ok else float("nan")
     wall_ratio = w2 / w1 if ok else float("nan")

@@ -349,6 +349,36 @@ def test_segment_blowup_is_one_line_without_warnings(phantom_dir, tmp_path):
     assert err[-1] == "error: numerical blow-up at iteration 18"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--p", "100000"], None),
+    (["--dx", "1e-300"], "error: degenerate time step: dt = 0 at dx = 1e-300"),
+    (["--model", "classical", "--dx", "1e-310"],
+     "error: degenerate speed field: grad g overflows at dx = 1e-310"),
+], ids=["p-huge", "dx-tiny", "dx-subnormal"])
+def test_segment_speed_overflow_is_silent_or_one_line(phantom_dir, tmp_path, args, message):
+    # |grad I|**p overflowing leaves g = 0, its limit, and the run goes on;
+    # a dt that underflows to 0, or a grad g that overflows (which the
+    # classical dt does not read), ends the run in one error line, with no
+    # numpy warnings
+    out = tmp_path / "x"
+    env = {**os.environ, "PYTHONPATH": str(Path(solver.__file__).parents[1])}
+    proc = subprocess.run([
+        sys.executable, "-W", "default", "-m", "levelseg.cli", "segment",
+        "--input", str(phantom_dir / "volume.json"),
+        "--seed-left", "22,40,20", "--seed-right", "57,40,20",
+        "--model", "gmfd1", "--nmax", "3", "--out", str(out),
+    ] + args, capture_output=True, text=True, env=env, timeout=300)
+    assert "Warning" not in proc.stderr, proc.stderr
+    if message:
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [message]
+        assert not out.exists()
+    else:
+        assert proc.returncode == 0
+        assert "error:" not in proc.stderr, proc.stderr
+        assert (out / "left.mask.json").is_file()
+
+
 @pytest.mark.parametrize("weight", ["--mu", "--eta"])
 def test_segment_large_weight_keeps_time_step_stable(phantom_dir, tmp_path, weight):
     # the two tubes are separate components of the active set, so only a
@@ -427,6 +457,8 @@ def test_segment_start_slice_out_of_range(phantom_dir, tmp_path, capsys, monkeyp
     (["--postprocess", "--start-slice", "41"], "error: start slice 41 out of range"),
     (["--sigma", "inf"], "error: sigma must be finite"),
     (["--sigma", "nan"], "error: sigma must be finite"),
+    (["--sigma", "1e6"], "error: sigma must be <= 26.6667"),
+    (["--sigma", "1e308"], "error: sigma must be <= 26.6667"),
     (["--dx", "nan"], "error: dx must be finite"),
     (["--dx", "inf"], "error: dx must be finite"),
     (["--mu", "nan"], "error: mu must be finite"),
@@ -439,15 +471,16 @@ def test_segment_start_slice_out_of_range(phantom_dir, tmp_path, capsys, monkeyp
     (["--seed-left", "40,12,20"], "error: seed (40, 12, 20) lies outside the tissue mask"),
     (["--seed-left", "22,40,6"], "error: seed (22, 40, 6) closer than 7.0 voxels to a face"),
     (["--out", "file"], "error: [Errno 17] File exists"),
-], ids=["bad-option", "missing-input", "start-slice", "sigma-inf", "sigma-nan", "dx-nan",
+], ids=["bad-option", "missing-input", "start-slice", "sigma-inf", "sigma-nan",
+        "sigma-huge", "sigma-huge-overflow", "dx-nan",
         "dx-inf", "mu-nan", "eta-inf", "epsilon-nan", "mu-negative", "eta-negative",
         "epsilon-negative", "seed-off-grid", "seed-outside-tissue", "seed-near-face",
         "out-is-a-file"])
 def test_segment_rejected_run_makes_no_out_dir(phantom_dir, tmp_path, capsys, args, message):
     # `--out` is made once `evolve` has accepted the seeds, so a run
     # rejected for an option, the volume or a seed leaves no directory (a
-    # float setting must be finite, and a weight >= 0), and an `--out`
-    # that names a file ends in one error line
+    # float setting must be finite, a weight >= 0 and 3*sigma within the
+    # 80x80 slice), and an `--out` that names a file ends in one error line
     out = tmp_path / "x"
     (tmp_path / "file").write_text("")
     rc = main([

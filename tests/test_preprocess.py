@@ -152,6 +152,16 @@ def test_gaussian_negative_sigma_rejected():
         gaussian_smooth(_random_vol(0), -1.0)
 
 
+def test_gaussian_kernel_beyond_the_slice_rejected():
+    # 3*sigma may reach the larger in-plane dimension, 9, and no further;
+    # the check comes before the kernel, whose radius ceil(3e308) overflows
+    vol = _vol(np.ones((9, 6, 3)))
+    assert np.allclose(gaussian_smooth(vol, 3.0).values, 1.0)
+    for sigma in (3.0 + 1e-9, 1e308):
+        with pytest.raises(ValueError, match="sigma must be <= 3: 3[*]sigma exceeds the 9x6 slice"):
+            gaussian_smooth(vol, sigma)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**31), sigma=st.floats(0.3, 3.0))
 def test_gaussian_mean_preserved_interior(seed, sigma):

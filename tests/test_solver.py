@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from scipy import ndimage
 from levelseg import solver
 from levelseg.active import CONNECTIVITY, ActiveSet
 from levelseg.metrics import dice
-from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_spec, tube_seed
+from levelseg.phantom import SUITE_PARAMS, generate_phantom, suite_config, suite_spec, tube_seed
 from levelseg.preprocess import preprocess_pipeline
 from levelseg.solver import (
     BlowupError,
@@ -26,6 +27,7 @@ from levelseg.solver import (
     init_levelset,
     llf_hamiltonian,
     step,
+    steps_to_dice,
 )
 from levelseg.speed import Model, build_speed, cfl_dt
 from levelseg.volumes import ScalarVolume, VoxelIndex
@@ -245,6 +247,31 @@ def test_step_epsilon_zero_matches_first_order():
         a = step(a, act, cfg1, dt)
         b = step(b, act, cfg2, dt)
     assert np.max(np.abs(a.volume.values - b.volume.values)) <= 1e-12
+
+
+def test_gmfd1_monotone_at_its_cfl_bound():
+    # criterion 2's procedure on gmfd1 at mu = eta = 1, where the LLF
+    # coefficients mu*g + eta*|dg/d axis| are the ones `cfl_dt` bounds,
+    # with no slack: no bump lowers a value at the bound, and one does at
+    # twice it, so a time step too large by 2x fails here
+    cfg = SolverConfig(model=Model.GEODESIC1, mu=1.0, eta=1.0, dx=DX)
+    violations = []
+    for dt_factor in (1.0, 2.0):
+        rng = np.random.default_rng(7)
+        dims = (9, 9, 9)
+        act = _active_from_g(rng.uniform(0.2, 1.0, size=dims))
+        dt = dt_factor * cfl_dt(act, cfg)
+        violations.append(0)
+        for _ in range(10):
+            u = rng.standard_normal(dims) * 0.1
+            base = step(LevelSetField(ScalarVolume(u)), act, cfg, dt).volume.values
+            for _ in range(50):
+                i, j, k = rng.integers(0, 9, size=3)
+                bumped = u.copy()
+                bumped[i, j, k] += rng.uniform(0.001, 0.05)
+                out = step(LevelSetField(ScalarVolume(bumped)), act, cfg, dt).volume.values
+                violations[-1] += float((base - out).max()) > 1e-12
+    assert violations[0] == 0 and violations[1] > 0, violations
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -756,6 +783,49 @@ def test_evolve_seeds_stops_the_other_loop_on_error(monkeypatch):
         evolve(_uniform_phantom(), cfg, [VoxelIndex(12, 12, 12), VoxelIndex(11, 12, 12)])
     assert threading.active_count() == before
     assert calls[threading.main_thread().name] < 5000
+
+
+# ------------------------------------------------------------ steps_to_dice
+
+def _steps_to_dice_loop(raw, whole, cfg, seed, truth):
+    """Reference: `step` on the components of the whole set `whole` that
+    the sphere at `seed` reaches, with `dt` from `whole`, and the Dice of
+    the full-grid mask after every step; the first step at 0.90, or None."""
+    fld = init_levelset(raw.dims, seed, cfg, raw.spacing)
+    dt = cfl_dt(whole, cfg)
+    reached = whole.reached(whole.components(), fld.volume.values < 0)
+    for n in range(1, cfg.n_max + 1):
+        fld = step(fld, reached, cfg, dt)
+        if dice(extract_mask(fld), truth) >= 0.90:
+            return n
+    return None
+
+
+@pytest.mark.parametrize("model, crossing", [(Model.CLASSICAL, 54), (Model.GEODESIC1, 146)])
+def test_steps_to_dice_equals_full_grid_dice_loop(easy_speed, model, crossing):
+    raw, seed, whole = easy_speed
+    _, truth, _ = generate_phantom(suite_spec("easy"))
+    cfg = suite_config("easy", model)
+    assert _steps_to_dice_loop(raw, whole, cfg, seed, truth) == crossing
+    n, seconds = steps_to_dice(raw, cfg, seed, truth)
+    assert n == crossing and seconds > 0
+
+
+def test_steps_to_dice_runs_the_budget_when_never_crossing(easy_speed, monkeypatch):
+    # one step short of the crossing of 54
+    raw, seed, whole = easy_speed
+    _, truth, _ = generate_phantom(suite_spec("easy"))
+    cfg = replace(suite_config("easy", Model.CLASSICAL), n_max=53)
+    assert _steps_to_dice_loop(raw, whole, cfg, seed, truth) is None
+    steps = []
+
+    def counted(fld, *args):
+        steps.append(fld.n)
+        return step(fld, *args)
+
+    monkeypatch.setattr(solver, "step", counted)
+    n, seconds = steps_to_dice(raw, cfg, seed, truth)
+    assert n is None and steps == list(range(53)) and seconds > 0
 
 
 # ------------------------------------------------ the loop's step and buffers
